@@ -163,12 +163,19 @@ impl PipelineMetrics {
                 format!("{bytes} B")
             }
         }
+        fn rate(count: u64, secs: f64) -> String {
+            if secs > 0.0 {
+                format!("{:.0}", count as f64 / secs)
+            } else {
+                "-".to_owned()
+            }
+        }
         let p = &self.phase_seconds;
         format!(
             "  bn       {} nodes\n\
              \x20 cnf      {} vars, {} clauses -> {} after unit resolution ({} vars fixed)\n\
              \x20 d-DNNF   {} raw nodes -> {} AC nodes, {} edges, {} tape\n\
-             \x20 search   {} decisions, {} components, {} cache hits\n\
+             \x20 search   {} decisions ({}/s), {} components, {} cache hits\n\
              \x20 phases   bn {} | encode {} | simplify {} | order {} | search {} | post {} | lower {} | total {}\n",
             self.bn_nodes,
             self.cnf_vars,
@@ -180,6 +187,7 @@ impl PipelineMetrics {
             self.ac_edges,
             kb(self.ac_size_bytes),
             self.compile_stats.decisions,
+            rate(self.compile_stats.decisions, p.ddnnf_search),
             self.compile_stats.components,
             self.compile_stats.cache_hits,
             ms(p.bn_build),
@@ -557,6 +565,10 @@ impl KcSimulator {
         record_span_secs("compile/tape_lower", p.tape_lower);
         record_span_secs("compile/total", metrics.compile_seconds);
         count("compile/runs", 1);
+        let stats = &metrics.compile_stats;
+        count("compile/search/decisions", stats.decisions);
+        count("compile/search/components", stats.components);
+        count("compile/search/cache_hits", stats.cache_hits);
         record_size("compile/tape_bytes", metrics.ac_size_bytes as u64);
         record_size("compile/ac_nodes", metrics.ac_nodes as u64);
     }

@@ -401,3 +401,67 @@ fn planner_explain_agrees_with_plan_on_random_circuits() {
         }
     }
 }
+
+#[test]
+fn compile_search_counters_equal_compile_stats() {
+    use qkc::kc::KcSimulator;
+
+    let _guard = lock();
+    let circuit = noisy_sweep_circuit();
+
+    // Disabled: the compile records no search counters.
+    {
+        let _flag = FlagGuard::set(false);
+        telemetry::reset();
+        KcSimulator::compile(&circuit, &Default::default());
+        let snap = telemetry::snapshot();
+        for path in [
+            "compile/search/decisions",
+            "compile/search/components",
+            "compile/search/cache_hits",
+        ] {
+            // `reset` zeroes a registered counter rather than removing it.
+            assert_eq!(
+                snap.counter(path).unwrap_or(0),
+                0,
+                "{path} recorded while disabled"
+            );
+        }
+    }
+
+    // Enabled: two compiles, and the counters sum their search statistics.
+    let _flag = FlagGuard::set(true);
+    telemetry::reset();
+    let mut other = circuit.clone();
+    other.cnot(2, 0).depolarize(0, 0.01);
+    let sims = [
+        KcSimulator::compile(&circuit, &Default::default()),
+        KcSimulator::compile(&other, &Default::default()),
+    ];
+    let snap = telemetry::snapshot();
+    let total = |f: fn(&qkc::knowledge::CompileStats) -> u64| -> u64 {
+        sims.iter().map(|s| f(&s.metrics().compile_stats)).sum()
+    };
+    assert!(total(|s| s.decisions) > 0, "the circuits need decisions");
+    assert_eq!(
+        snap.counter("compile/search/decisions"),
+        Some(total(|s| s.decisions))
+    );
+    assert_eq!(
+        snap.counter("compile/search/components"),
+        Some(total(|s| s.components))
+    );
+    assert_eq!(
+        snap.counter("compile/search/cache_hits"),
+        Some(total(|s| s.cache_hits))
+    );
+    assert_eq!(snap.counter("compile/runs"), Some(2));
+
+    let report = sims[0].metrics().report();
+    let search = report
+        .lines()
+        .find(|l| l.trim_start().starts_with("search"))
+        .expect("report has a search line");
+    assert!(search.contains("/s)"), "no decisions/s in {search:?}");
+    telemetry::reset();
+}
