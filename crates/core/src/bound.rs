@@ -7,8 +7,8 @@
 use crate::pipeline::{KcSimulator, ValueState};
 use qkc_circuit::{ParamMap, UnboundParam};
 use qkc_knowledge::{
-    AcWeights, AcWeightsBatch, DiffCone, GibbsOptions, GibbsSampler, QueryVar, TangentPlan,
-    TapeEvaluator,
+    AcWeights, AcWeightsBatch, DiffCone, GibbsOptions, GibbsSampler, GibbsStats, QueryVar,
+    TangentPlan, TapeEvaluator,
 };
 use qkc_math::{CMatrix, Complex, C_ONE, C_ZERO};
 use std::cell::RefCell;
@@ -404,7 +404,8 @@ impl<'a> BoundKc<'a> {
 
     /// Creates a Gibbs sampler over outputs and random events
     /// (paper §3.3.2). Transitions run on the flat tape through a
-    /// persistent evaluator (delta cone per accepted move).
+    /// persistent evaluator (delta cone per moved variable; MH proposals
+    /// on a side evaluator).
     pub fn sampler(&self, options: &GibbsOptions) -> KcSampler<'_> {
         let (vars, value_maps) = self.sampler_vars();
         let sampler = GibbsSampler::new(self.sim.tape(), self.weights.clone(), vars, options);
@@ -412,6 +413,7 @@ impl<'a> BoundKc<'a> {
             sampler,
             value_maps,
             num_outputs: self.sim.num_outputs(),
+            global: self.global,
         }
     }
 
@@ -427,6 +429,7 @@ impl<'a> BoundKc<'a> {
             sampler,
             value_maps,
             num_outputs: self.sim.num_outputs(),
+            global: self.global,
         }
     }
 
@@ -728,15 +731,17 @@ pub struct KcSampler<'a> {
     /// For each query var: chain-state index → actual domain value.
     value_maps: Vec<Vec<usize>>,
     num_outputs: usize,
+    /// The global factor from unit-resolved parameters.
+    global: Complex,
 }
 
 impl<'a> KcSampler<'a> {
     /// Draws `count` output bitstrings, taking `thin` coordinate updates
     /// between records.
     pub fn sample_outputs(&mut self, count: usize, thin: usize) -> Vec<usize> {
-        let maps = self.value_maps.clone();
+        let maps = &self.value_maps;
         let n = self.num_outputs;
-        self.sampler.sample_with(count, thin, move |state| {
+        self.sampler.sample_with(count, thin, |state| {
             let mut x = 0usize;
             for (i, map) in maps.iter().take(n).enumerate() {
                 x |= map[state[i]] << (n - 1 - i);
@@ -756,8 +761,19 @@ impl<'a> KcSampler<'a> {
             .collect()
     }
 
-    /// Fraction of coordinate updates that moved.
+    /// The amplitude of [`KcSampler::current_assignment`], as
+    /// [`BoundKc::amplitude_assignment`] defines it.
+    pub fn current_amplitude(&mut self) -> Complex {
+        self.global * self.sampler.current_amplitude()
+    }
+
+    /// Fraction of transitions that moved the chain.
     pub fn acceptance_rate(&self) -> f64 {
         self.sampler.acceptance_rate()
+    }
+
+    /// Where the chain's transitions went so far (warmup included).
+    pub fn stats(&self) -> GibbsStats {
+        self.sampler.stats()
     }
 }

@@ -6,7 +6,7 @@ use crate::mix_seed;
 use qkc_circuit::{Circuit, CircuitError, ParamMap, UnboundParam};
 use qkc_core::KcOptions;
 use qkc_densitymatrix::DensityMatrixSimulator;
-use qkc_knowledge::GibbsOptions;
+use qkc_knowledge::{GibbsOptions, GibbsStats};
 use qkc_math::AliasTable;
 use qkc_statevector::StateVectorSimulator;
 use qkc_tensornet::{TensorNetwork, TensorNetworkSimulator};
@@ -671,8 +671,23 @@ impl Backend for KcBackend {
             seed: mix_seed(seed, 1),
             ..Default::default()
         });
-        Ok(sampler.sample_outputs(shots, self.gibbs_thin))
+        let outputs = sampler.sample_outputs(shots, self.gibbs_thin);
+        record_gibbs_telemetry(&sampler.stats());
+        Ok(outputs)
     }
+}
+
+/// Mirrors one finished chain's transition counts into the global
+/// telemetry registry. One relaxed load per counter when disabled.
+fn record_gibbs_telemetry(stats: &GibbsStats) {
+    use qkc_telemetry::count;
+    count("sample/gibbs/chains", 1);
+    count("sample/gibbs/full_passes", stats.full_passes);
+    count("sample/gibbs/delta_passes", stats.delta_passes);
+    count("sample/gibbs/held_steps", stats.held_steps);
+    count("sample/gibbs/coordinate_moves", stats.coordinate_moves);
+    count("sample/gibbs/mh_proposed", stats.mh_proposed);
+    count("sample/gibbs/mh_accepted", stats.mh_accepted);
 }
 
 // ---------------------------------------------------------------------------

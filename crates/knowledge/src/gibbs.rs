@@ -10,10 +10,18 @@
 //! Transitions run on the flat [`AcTape`] through a persistent
 //! [`TapeEvaluator`], so a step performs zero allocations: the value /
 //! partial buffers, the conditional-probability column, and the MH proposal
-//! scratch are all owned by the sampler. [`GibbsSampler::new_enum_walk`]
-//! keeps the original enum-arena kernels as a reference implementation —
-//! both produce bit-identical chains for the same seed, which the
-//! equivalence tests assert.
+//! scratch are all owned by the sampler. A coordinate update whose weights
+//! did not change since the last differential pass reuses its partials
+//! (held); one that follows a single-variable move recomputes only that
+//! variable's cone upward (delta). Densities that do not move the chain —
+//! MH proposals, start states, [`GibbsSampler::current_amplitude`] — are
+//! evaluated on a second, proposal-only evaluator, so they leave the
+//! chain's differentials intact: a rejected proposal restores the evidence
+//! bit for bit and costs the next update nothing, and only an accepted
+//! proposal forces a full pass. [`GibbsStats`] counts each kind of step.
+//! [`GibbsSampler::new_enum_walk`] keeps the original enum-arena kernels as
+//! a reference implementation — both produce bit-identical chains for the
+//! same seed, which the equivalence tests assert.
 
 use crate::evaluate::{evaluate, evaluate_with_differentials, sample_model, AcWeights};
 use crate::nnf::Nnf;
@@ -45,6 +53,10 @@ pub struct GibbsOptions {
     pub warmup: usize,
     /// Coordinate updates between recorded samples (1 = record after every
     /// update).
+    ///
+    /// Not read by the sampler: only the `thin` argument of
+    /// [`GibbsSampler::sample_with`] (and of the samplers built on it)
+    /// thins a chain.
     pub thin: usize,
     /// RNG seed.
     pub seed: u64,
@@ -71,6 +83,47 @@ impl Default for GibbsOptions {
     }
 }
 
+/// Where a chain's transitions went. Every coordinate update is exactly one
+/// of a full pass, a delta pass or a held step; every MH move is one
+/// proposal.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GibbsStats {
+    /// Coordinate updates that ran a full upward + downward pass (the
+    /// first update, and the first after an accepted MH proposal; every
+    /// update on the enum-walk kernel).
+    pub full_passes: u64,
+    /// Coordinate updates that recomputed only the upward cone of the
+    /// variable the previous update moved, then a full downward pass.
+    pub delta_passes: u64,
+    /// Coordinate updates that reused the previous pass's partials: no
+    /// weight changed since it.
+    pub held_steps: u64,
+    /// Coordinate updates that moved their variable to a new value.
+    pub coordinate_moves: u64,
+    /// Independence MH proposals.
+    pub mh_proposed: u64,
+    /// MH proposals accepted that changed the state. (An accepted
+    /// proposal equal to the current state changes nothing.)
+    pub mh_accepted: u64,
+}
+
+impl GibbsStats {
+    /// Transitions taken: coordinate updates plus MH proposals.
+    pub fn steps(&self) -> u64 {
+        self.full_passes + self.delta_passes + self.held_steps + self.mh_proposed
+    }
+
+    /// Fraction of transitions that changed the state.
+    pub fn acceptance_rate(&self) -> f64 {
+        let steps = self.steps();
+        if steps == 0 {
+            0.0
+        } else {
+            (self.coordinate_moves + self.mh_accepted) as f64 / steps as f64
+        }
+    }
+}
+
 /// The compiled circuit a chain runs on: the flat tape (production) or the
 /// enum arena (reference). Both kernels are bit-for-bit equivalent; the
 /// tape path additionally reuses every buffer across transitions.
@@ -81,16 +134,22 @@ impl Default for GibbsOptions {
 enum Kernel<'a> {
     Tape {
         tape: &'a AcTape,
+        /// Runs the chain's differential passes, and nothing else.
         eval: TapeEvaluator,
+        /// Evaluates densities that do not move the chain (MH proposals,
+        /// start states, [`GibbsSampler::current_amplitude`]) and the
+        /// model-sampling magnitudes, so `eval`'s buffers survive them.
+        side: TapeEvaluator,
         /// CNF variables whose weights changed since the last differential
         /// pass — the delta set the next pass recomputes the cone of.
         changed: Vec<u32>,
-        /// Too many changes to track (initialization, MH proposals):
-        /// the next differential pass runs in full.
+        /// Too many changes to track (initialization, an accepted MH
+        /// proposal): the next differential pass runs in full. A rejected
+        /// proposal restores the evidence bit for bit and leaves it unset.
         changed_full: bool,
-        /// The evaluator's partials still describe the current weights
-        /// (no weight change since the last differential pass), so a
-        /// rejected/held move can reuse them without any pass at all.
+        /// `eval`'s partials still describe the current weights (no weight
+        /// change since the last differential pass, rejected proposals
+        /// included), so the next update can reuse them without any pass.
         diffs_fresh: bool,
     },
     EnumWalk {
@@ -116,8 +175,7 @@ pub struct GibbsSampler<'a> {
     /// Model-sampling scratch for chain initialization.
     model_lits: Vec<Lit>,
     rng: StdRng,
-    steps_taken: u64,
-    moves_accepted: u64,
+    stats: GibbsStats,
     mh_restart_prob: f64,
     /// |amplitude|² of the current state, kept in sync across moves.
     current_density: f64,
@@ -150,7 +208,9 @@ impl<'a> GibbsSampler<'a> {
             Kernel::Tape {
                 tape,
                 eval: TapeEvaluator::new(),
+                side: TapeEvaluator::new(),
                 changed: Vec::new(),
+                // Start-state draws rewrite every query variable's evidence.
                 changed_full: true,
                 diffs_fresh: false,
             },
@@ -199,8 +259,7 @@ impl<'a> GibbsSampler<'a> {
             saved_state: Vec::new(),
             model_lits: Vec::new(),
             rng,
-            steps_taken: 0,
-            moves_accepted: 0,
+            stats: GibbsStats::default(),
             mh_restart_prob: options.mh_restart_prob,
             current_density: 0.0,
         };
@@ -215,7 +274,7 @@ impl<'a> GibbsSampler<'a> {
         // reset in between), so the tape kernel computes the magnitude
         // buffer once and reuses it across the whole redraw loop.
         let has_support = match &mut sampler.kernel {
-            Kernel::Tape { tape, eval, .. } => eval.model_magnitudes(tape, &sampler.weights) > 0.0,
+            Kernel::Tape { tape, side, .. } => side.model_magnitudes(tape, &sampler.weights) > 0.0,
             Kernel::EnumWalk { .. } => true, // checked per draw by sample_model
         };
         sampler.draw_start(has_support);
@@ -244,12 +303,10 @@ impl<'a> GibbsSampler<'a> {
     /// weights (it is computed once in the constructor and reused across
     /// redraws, since the weights do not change in between).
     fn draw_start(&mut self, has_support: bool) {
-        // Initialization rewrites every query variable's evidence.
-        self.note_weights_changed_all();
         let model = match &mut self.kernel {
-            Kernel::Tape { tape, eval, .. } => {
+            Kernel::Tape { tape, side, .. } => {
                 if has_support {
-                    eval.draw_model(tape, &mut self.rng, &mut self.model_lits);
+                    side.draw_model(tape, &mut self.rng, &mut self.model_lits);
                     Some(std::mem::take(&mut self.model_lits))
                 } else {
                     None
@@ -286,7 +343,7 @@ impl<'a> GibbsSampler<'a> {
                 self.apply_evidence(i);
             }
         }
-        self.current_density = self.amplitude_of_current_state().norm_sqr();
+        self.current_density = self.current_amplitude().norm_sqr();
     }
 
     /// Restores the summed-out (1, 1) weights of every query literal,
@@ -310,13 +367,15 @@ impl<'a> GibbsSampler<'a> {
         &self.vars
     }
 
-    /// Fraction of coordinate updates that changed the value.
+    /// Where the chain's transitions went so far (warmup included).
+    pub fn stats(&self) -> GibbsStats {
+        self.stats
+    }
+
+    /// Fraction of transitions that changed the state; see
+    /// [`GibbsStats::acceptance_rate`].
     pub fn acceptance_rate(&self) -> f64 {
-        if self.steps_taken == 0 {
-            0.0
-        } else {
-            self.moves_accepted as f64 / self.steps_taken as f64
-        }
+        self.stats.acceptance_rate()
     }
 
     /// Sets the evidence weights for variable `i` to its current value.
@@ -357,7 +416,6 @@ impl<'a> GibbsSampler<'a> {
             return;
         }
         let i = self.movable[self.rng.gen_range(0..self.movable.len())];
-        self.steps_taken += 1;
         // By Darwiche's differential semantics each value's literal
         // derivative is the amplitude with this variable re-assigned —
         // for binary nodes value 0's literal is `-v`, so one rule covers
@@ -371,18 +429,24 @@ impl<'a> GibbsSampler<'a> {
                 changed,
                 changed_full,
                 diffs_fresh,
+                ..
             } => {
                 // Weights unchanged since the last differential pass
-                // (previous update resampled the same value): the partials
-                // are still exact — skip both passes entirely. Otherwise
-                // recompute just the dirty cone of the variables that
-                // moved, falling back to a full pass after initialization
-                // or MH proposals. All three paths are bit-for-bit the
-                // full recompute the enum walk performs.
-                if !(*diffs_fresh && changed.is_empty() && !*changed_full) {
+                // (previous update resampled the same value, or an MH
+                // proposal was rejected): the partials are still exact —
+                // skip both passes entirely. Otherwise recompute just the
+                // dirty cone of the variables that moved, falling back to
+                // a full pass after initialization or an accepted MH
+                // proposal. All three paths are bit-for-bit the full
+                // recompute the enum walk performs.
+                if *diffs_fresh && changed.is_empty() && !*changed_full {
+                    self.stats.held_steps += 1;
+                } else {
                     if *changed_full {
+                        self.stats.full_passes += 1;
                         eval.differentials(tape, &self.weights);
                     } else {
+                        self.stats.delta_passes += 1;
                         eval.differentials_delta(tape, &self.weights, changed);
                     }
                     changed.clear();
@@ -396,6 +460,7 @@ impl<'a> GibbsSampler<'a> {
                 );
             }
             Kernel::EnumWalk { nnf } => {
+                self.stats.full_passes += 1;
                 let d = evaluate_with_differentials(nnf, &self.weights);
                 self.probs.extend(
                     var.value_lits
@@ -413,7 +478,7 @@ impl<'a> GibbsSampler<'a> {
         let new_value = qkc_math::sample_cdf(&self.probs, &mut self.rng);
         self.current_density = self.probs[new_value];
         if new_value != self.state[i] {
-            self.moves_accepted += 1;
+            self.stats.coordinate_moves += 1;
             self.state[i] = new_value;
             self.apply_evidence(i);
             self.note_weights_changed(i);
@@ -437,8 +502,8 @@ impl<'a> GibbsSampler<'a> {
         }
     }
 
-    /// Records a bulk weight change (initialization, MH proposals): the
-    /// tape kernel's next differential pass runs in full.
+    /// Records a bulk weight change (an accepted MH proposal): the tape
+    /// kernel's next differential pass runs in full.
     fn note_weights_changed_all(&mut self) {
         if let Kernel::Tape {
             changed,
@@ -456,12 +521,11 @@ impl<'a> GibbsSampler<'a> {
     /// Independence Metropolis–Hastings move: propose a uniform full
     /// assignment; accept with probability `min(1, |amp(y)|²/|amp(x)|²)`
     /// (the proposal is symmetric/uniform, so the ratio is just the target
-    /// density ratio).
+    /// density ratio). The proposal's density is evaluated on the side
+    /// evaluator, and a rejection restores the evidence bit for bit, so
+    /// only an accepted proposal costs the chain its differentials.
     fn mh_move(&mut self) {
-        self.steps_taken += 1;
-        // The proposal rewrites every movable variable's evidence (and a
-        // rejection rewrites it back).
-        self.note_weights_changed_all();
+        self.stats.mh_proposed += 1;
         self.saved_state.clear();
         self.saved_state.extend_from_slice(&self.state);
         for mi in 0..self.movable.len() {
@@ -469,7 +533,7 @@ impl<'a> GibbsSampler<'a> {
             self.state[i] = self.rng.gen_range(0..self.vars[i].value_lits.len());
             self.apply_evidence(i);
         }
-        let new_density = self.amplitude_of_current_state().norm_sqr();
+        let new_density = self.current_amplitude().norm_sqr();
         let accept = if self.current_density <= 0.0 {
             new_density > 0.0
         } else {
@@ -477,10 +541,13 @@ impl<'a> GibbsSampler<'a> {
         };
         if accept {
             if self.state != self.saved_state {
-                self.moves_accepted += 1;
+                self.stats.mh_accepted += 1;
+                self.note_weights_changed_all();
             }
             self.current_density = new_density;
         } else {
+            // Restoring the values restores the evidence weights bit for
+            // bit, so the chain's differentials still describe them.
             self.state.copy_from_slice(&self.saved_state);
             for mi in 0..self.movable.len() {
                 self.apply_evidence(self.movable[mi]);
@@ -507,16 +574,15 @@ impl<'a> GibbsSampler<'a> {
         out
     }
 
-    fn amplitude_of_current_state(&mut self) -> Complex {
+    /// The amplitude of the chain's current full assignment. On the tape
+    /// kernel a full upward pass on the side evaluator: its result does
+    /// not depend on what that evaluator computed before, and the chain's
+    /// differentials stay intact.
+    pub fn current_amplitude(&mut self) -> Complex {
         match &mut self.kernel {
-            Kernel::Tape { tape, eval, .. } => eval.evaluate(tape, &self.weights),
+            Kernel::Tape { tape, side, .. } => side.evaluate(tape, &self.weights),
             Kernel::EnumWalk { nnf } => evaluate(nnf, &self.weights),
         }
-    }
-
-    /// The amplitude of the chain's current full assignment.
-    pub fn current_amplitude(&mut self) -> Complex {
-        self.amplitude_of_current_state()
     }
 }
 
@@ -685,38 +751,85 @@ mod tests {
 
     #[test]
     fn tape_and_enum_walk_chains_are_bit_identical() {
-        // Same seed, same circuit, both kernels: states, acceptance
-        // bookkeeping, and the full sample stream must match exactly —
-        // including through zero-density redraws (interference circuit).
-        let mut f = Cnf::new(3);
-        f.add_clause(vec![-1, 2]);
-        f.add_clause(vec![1, -2]);
-        f.add_clause(vec![1, 3]);
-        let c = compile(&f, &CompileOptions::default());
+        // Same seed, same circuit, both kernels: states, amplitudes queried
+        // mid-chain, acceptance bookkeeping, and the full sample stream
+        // must match exactly — through zero-density redraws (interference
+        // circuit), and across MH rates from none to most steps, so that on
+        // the full-support OR circuit accepted and rejected proposals
+        // interleave with delta and held updates.
+        let mut interference = Cnf::new(3);
+        interference.add_clause(vec![-1, 2]);
+        interference.add_clause(vec![1, -2]);
+        interference.add_clause(vec![1, 3]);
+        let mut or = Cnf::new(3);
+        or.add_clause(vec![1, 2, 3]);
         let groups: Vec<Vec<Lit>> = (1..=3).map(|v| vec![v, -v]).collect();
-        let nnf = smooth(&c.nnf, &groups);
-        let tape = AcTape::lower(&nnf);
-        for seed in 0..10 {
-            let mut base = AcWeights::uniform(3);
-            base.set(3, C_ONE, qkc_math::Complex::real(-1.0));
-            let options = GibbsOptions {
-                warmup: 25,
-                thin: 1,
-                seed,
-                mh_restart_prob: 0.10,
-            };
-            let mut tape_chain = GibbsSampler::new(&tape, base.clone(), parity_vars(), &options);
-            let mut enum_chain = GibbsSampler::new_enum_walk(&nnf, base, parity_vars(), &options);
-            assert_eq!(tape_chain.state(), enum_chain.state(), "seed {seed}");
-            let a = tape_chain.sample_with(200, 1, <[usize]>::to_vec);
-            let b = enum_chain.sample_with(200, 1, <[usize]>::to_vec);
-            assert_eq!(a, b, "seed {seed}: chains diverged");
-            assert_eq!(
-                tape_chain.acceptance_rate(),
-                enum_chain.acceptance_rate(),
-                "seed {seed}"
-            );
+        let mut totals = GibbsStats::default();
+        // The summed-out v3's weights: cancelling on the interference
+        // circuit; on the OR circuit a phase that makes (0,0) less likely
+        // than the other three states, so conditionals depend on the state.
+        let cases = [
+            (interference, qkc_math::Complex::real(-1.0)),
+            (or, qkc_math::Complex::new(0.0, 0.5)),
+        ];
+        for (f, neg3) in cases {
+            let nnf = smooth(&compile(&f, &CompileOptions::default()).nnf, &groups);
+            let tape = AcTape::lower(&nnf);
+            for (mh_restart_prob, seed) in [0.0, 0.1, 0.3, 0.6]
+                .into_iter()
+                .flat_map(|mh| (0..10).map(move |seed| (mh, seed)))
+            {
+                let mut base = AcWeights::uniform(3);
+                base.set(3, C_ONE, neg3);
+                let options = GibbsOptions {
+                    warmup: 25,
+                    thin: 1,
+                    seed,
+                    mh_restart_prob,
+                };
+                let mut tape_chain =
+                    GibbsSampler::new(&tape, base.clone(), parity_vars(), &options);
+                let mut enum_chain =
+                    GibbsSampler::new_enum_walk(&nnf, base, parity_vars(), &options);
+                let at = format!("mh {mh_restart_prob}, seed {seed}");
+                assert_eq!(tape_chain.state(), enum_chain.state(), "{at}");
+                for _ in 0..4 {
+                    let a = tape_chain.sample_with(50, 1, <[usize]>::to_vec);
+                    let b = enum_chain.sample_with(50, 1, <[usize]>::to_vec);
+                    assert_eq!(a, b, "{at}: chains diverged");
+                    let (x, y) = (
+                        tape_chain.current_amplitude(),
+                        enum_chain.current_amplitude(),
+                    );
+                    assert_eq!(x.re.to_bits(), y.re.to_bits(), "{at}");
+                    assert_eq!(x.im.to_bits(), y.im.to_bits(), "{at}");
+                }
+                assert_eq!(
+                    tape_chain.acceptance_rate().to_bits(),
+                    enum_chain.acceptance_rate().to_bits(),
+                    "{at}"
+                );
+                let (t, e) = (tape_chain.stats(), enum_chain.stats());
+                assert_eq!(t.steps(), e.steps(), "{at}");
+                assert_eq!(
+                    (t.coordinate_moves, t.mh_proposed, t.mh_accepted),
+                    (e.coordinate_moves, e.mh_proposed, e.mh_accepted),
+                    "{at}"
+                );
+                assert!(t.full_passes <= 1 + t.mh_accepted, "{at}: {t:?}");
+                totals.mh_proposed += t.mh_proposed;
+                totals.mh_accepted += t.mh_accepted;
+                totals.held_steps += t.held_steps;
+                totals.delta_passes += t.delta_passes;
+            }
         }
+        // The cases cover every kind of step.
+        assert!(totals.mh_accepted > 0, "{totals:?}");
+        assert!(totals.mh_proposed > totals.mh_accepted, "{totals:?}");
+        assert!(
+            totals.held_steps > 0 && totals.delta_passes > 0,
+            "{totals:?}"
+        );
     }
 
     #[test]

@@ -162,24 +162,44 @@ proptest! {
     }
 
     /// Gibbs chains on the tape kernel (delta differentials, free held
-    /// moves, cached model-sampling magnitudes) produce the identical
-    /// sample stream to the enum-walk kernel through the full stack.
+    /// moves, cached model-sampling magnitudes, MH proposals on the side
+    /// evaluator) produce the identical sample stream to the enum-walk
+    /// kernel through the full stack — with accepted and rejected
+    /// proposals interleaved among delta and held updates, and amplitude
+    /// queries mid-chain.
     #[test]
     fn gibbs_samples_match_enum_walk(
         instrs in proptest::collection::vec(arb_instr(2), 1..8),
         a in -3.0..3.0f64,
         b in -3.0..3.0f64,
         seed in 0u64..32,
+        mh_restart_prob in 0.0..0.6f64,
     ) {
         let mut c = build(2, &instrs);
         c.depolarize(0, 0.1);
         let sim = KcSimulator::compile(&c, &Default::default());
         let p = params(a, b);
         let bound = sim.bind(&p).unwrap();
-        let options = GibbsOptions { warmup: 30, thin: 1, seed, ..Default::default() };
-        let tape_samples = bound.sampler(&options).sample_outputs(100, 1);
-        let enum_samples = bound.sampler_enum_walk(&options).sample_outputs(100, 1);
-        prop_assert_eq!(tape_samples, enum_samples);
+        let options = GibbsOptions { warmup: 30, thin: 1, seed, mh_restart_prob };
+        let mut tape = bound.sampler(&options);
+        let mut walk = bound.sampler_enum_walk(&options);
+        for _ in 0..4 {
+            prop_assert_eq!(tape.sample_outputs(25, 1), walk.sample_outputs(25, 1));
+            let (x, y) = (tape.current_amplitude(), walk.current_amplitude());
+            prop_assert!(bits_eq(x, y), "amplitude {x} vs {y}");
+        }
+        prop_assert_eq!(tape.current_assignment(), walk.current_assignment());
+        prop_assert_eq!(
+            tape.acceptance_rate().to_bits(),
+            walk.acceptance_rate().to_bits()
+        );
+        let (t, w) = (tape.stats(), walk.stats());
+        prop_assert_eq!(t.steps(), w.steps());
+        prop_assert_eq!(
+            (t.coordinate_moves, t.mh_proposed, t.mh_accepted),
+            (w.coordinate_moves, w.mh_proposed, w.mh_accepted)
+        );
+        prop_assert!(t.full_passes <= 1 + t.mh_accepted, "{:?}", t);
     }
 }
 

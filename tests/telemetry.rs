@@ -465,3 +465,67 @@ fn compile_search_counters_equal_compile_stats() {
     assert!(search.contains("/s)"), "no decisions/s in {search:?}");
     telemetry::reset();
 }
+
+#[test]
+fn gibbs_counters_equal_chain_stats() {
+    use qkc::engine::Backend;
+    use qkc::kc::KcSimulator;
+    use qkc::knowledge::GibbsOptions;
+
+    /// The backend's chain seed for a sample call's `seed`: its splitmix
+    /// finalizer over `seed` and stream index 1.
+    fn chain_seed(seed: u64) -> u64 {
+        let mut z = seed
+            .wrapping_add(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(0xD1B5_4A32_D192_ED03);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    let _guard = lock();
+    let _flag = FlagGuard::set(true);
+    let circuit = noisy_sweep_circuit();
+    let params = ParamMap::from_pairs([("theta", 0.4)]);
+    let (warmup, thin, shots, seed) = (60, 2, 150, 7);
+    // A zero enumeration budget sends the noisy circuit to the chain.
+    let backend = KcBackend::new(Arc::new(ArtifactCache::new()), Default::default())
+        .with_max_exact_log2_branches(0.0)
+        .with_gibbs(warmup, thin);
+    telemetry::reset();
+    let outputs = backend.sample(&circuit, &params, shots, seed).unwrap();
+    let snap = telemetry::snapshot();
+
+    let sim = KcSimulator::compile(&circuit, &Default::default());
+    let bound = sim.bind(&params).unwrap();
+    let mut sampler = bound.sampler(&GibbsOptions {
+        warmup,
+        thin,
+        seed: chain_seed(seed),
+        ..Default::default()
+    });
+    assert_eq!(
+        sampler.sample_outputs(shots, thin),
+        outputs,
+        "not the chain"
+    );
+    let stats = sampler.stats();
+    assert_eq!(stats.steps(), (warmup + shots * thin) as u64);
+    assert!(stats.mh_proposed > 0, "the chain needs MH proposals");
+    assert!(
+        stats.full_passes <= 1 + stats.mh_accepted,
+        "rejected proposals forced full passes: {stats:?}"
+    );
+    for (path, want) in [
+        ("sample/gibbs/chains", 1),
+        ("sample/gibbs/full_passes", stats.full_passes),
+        ("sample/gibbs/delta_passes", stats.delta_passes),
+        ("sample/gibbs/held_steps", stats.held_steps),
+        ("sample/gibbs/coordinate_moves", stats.coordinate_moves),
+        ("sample/gibbs/mh_proposed", stats.mh_proposed),
+        ("sample/gibbs/mh_accepted", stats.mh_accepted),
+    ] {
+        assert_eq!(snap.counter(path), Some(want), "{path}");
+    }
+    telemetry::reset();
+}
