@@ -7,7 +7,7 @@
 //! symbolic parameters ([`Param`]) that are re-bound across variational
 //! iterations without rebuilding the circuit.
 //!
-//! The [`reference`] module is a deliberately naive simulator used as the
+//! The [`reference`](mod@reference) module is a deliberately naive simulator used as the
 //! correctness oracle for every optimized backend in the workspace.
 //!
 //! # Examples

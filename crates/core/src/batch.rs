@@ -7,8 +7,8 @@
 //! evaluated once per point (each point has its own parameter values), but
 //! the fixed/unit-resolution walk over the parameter variables runs once
 //! for the whole batch, and every amplitude / probability / expectation
-//! query decodes the NNF once while updating `k` weight lanes
-//! ([`qkc_knowledge::evaluate_batch`]).
+//! query decodes the tape once while updating `k` weight lanes
+//! ([`TapeEvaluator::evaluate_batch`]).
 //!
 //! Lane `l` of every query is **bit-for-bit identical** to the same query
 //! on `bind(&params[l])` — the engine's sweep executor relies on this to

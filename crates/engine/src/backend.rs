@@ -896,7 +896,7 @@ impl Backend for TensorNetworkBackend {
         }
         let chunk = shots.div_ceil(self.threads);
         let mut all = Vec::with_capacity(shots);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for t in 0..self.threads {
                 let lo = t * chunk;
@@ -905,13 +905,12 @@ impl Backend for TensorNetworkBackend {
                     break;
                 }
                 let shot = &shot;
-                handles.push(scope.spawn(move |_| (lo..hi).map(shot).collect::<Vec<usize>>()));
+                handles.push(scope.spawn(move || (lo..hi).map(shot).collect::<Vec<usize>>()));
             }
             for h in handles {
                 all.extend(h.join().expect("sampler thread panicked"));
             }
-        })
-        .expect("scoped thread panicked");
+        });
         Ok(all)
     }
 }

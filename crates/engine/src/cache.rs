@@ -221,7 +221,8 @@ struct CacheState {
 /// A thread-safe, optionally bounded cache of compiled [`KcSimulator`]
 /// artifacts, keyed by the circuit's
 /// [structural hash](Circuit::structural_hash) plus the pipeline options.
-/// See the [module docs](self) for the eviction and spill lifecycle.
+/// [`CacheOptions`] bounds its residency and enables the on-disk spill
+/// tier.
 #[derive(Debug, Default)]
 pub struct ArtifactCache {
     options: CacheOptions,
@@ -1080,19 +1081,18 @@ mod tests {
     #[test]
     fn concurrent_requests_share_one_compilation() {
         let cache = Arc::new(ArtifactCache::new());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let mut handles = Vec::new();
             for _ in 0..8 {
                 let cache = Arc::clone(&cache);
-                handles.push(s.spawn(move |_| {
+                handles.push(s.spawn(move || {
                     cache.get_or_compile(&parameterized(), &KcOptions::default());
                 }));
             }
             for h in handles {
                 h.join().expect("thread");
             }
-        })
-        .expect("scope");
+        });
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 7);
     }
@@ -1107,11 +1107,11 @@ mod tests {
         let distinct = 3u64;
         let workers = 4;
         let iters = 25;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let mut handles = Vec::new();
             for w in 0..workers {
                 let cache = Arc::clone(&cache);
-                handles.push(s.spawn(move |_| {
+                handles.push(s.spawn(move || {
                     for i in 0..iters {
                         let mut c = parameterized();
                         for _ in 0..((w + i) % distinct as usize) {
@@ -1123,7 +1123,7 @@ mod tests {
             }
             let snapshotter = {
                 let cache = Arc::clone(&cache);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..200 {
                         let s = cache.stats();
                         assert!(
@@ -1144,8 +1144,7 @@ mod tests {
                 h.join().expect("worker");
             }
             snapshotter.join().expect("snapshotter");
-        })
-        .expect("scope");
+        });
         let s = cache.stats();
         assert_eq!(s.misses, distinct);
         assert_eq!(s.hits + s.misses, (workers * iters) as u64);

@@ -323,11 +323,11 @@ where
     }
     let chunk = items.len().div_ceil(threads);
     let mut out: Vec<Result<Vec<T>, EngineError>> = Vec::with_capacity(threads);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (t, slice) in items.chunks(chunk).enumerate() {
             let f = &f;
-            handles.push(scope.spawn(move |_| f(t * chunk, slice)));
+            handles.push(scope.spawn(move || f(t * chunk, slice)));
         }
         for h in handles {
             out.push(h.join().unwrap_or_else(|payload| {
@@ -337,8 +337,7 @@ where
                 Err(worker_panic_error(payload))
             }));
         }
-    })
-    .expect("scope panicked");
+    });
     let mut results = Vec::with_capacity(items.len());
     for chunk_result in out {
         results.extend(chunk_result?);

@@ -1,34 +1,28 @@
-//! Batched arithmetic-circuit evaluation: one NNF traversal amortized over
-//! `k` literal-weight vectors.
+//! Batched literal weights: `k` bindings of one compiled circuit in
+//! lane-blocked split-plane layout.
 //!
 //! The paper's economics are compile-once-bind-many (§3.2): after knowledge
 //! compilation every variational iteration only rewrites literal weights and
-//! re-traverses the same AC. [`evaluate_batch`] exploits that across
-//! *bindings* the way qsim's fused kernels exploit it across gates — the
-//! node stream (the expensive, branchy part) is decoded once, and each node
-//! updates `k` complex lanes held in lane-blocked split-plane layout
-//! ([`LaneBlock`]): per node, `⌈k/W⌉` blocks of `W` real lanes plus `W`
-//! imaginary lanes, so every per-node update is a straight-line loop the
-//! compiler vectorizes. Sweep throughput multiplies because per-node
-//! dispatch, bounds checks, and the per-call value-buffer allocation are
-//! all paid once per node instead of once per node per binding.
+//! re-traverses the same AC. [`AcWeightsBatch`] holds `k` such weight
+//! vectors so the tape's batched kernels
+//! ([`TapeEvaluator::evaluate_batch`](crate::TapeEvaluator::evaluate_batch)
+//! and friends) decode each instruction once and update `k` complex lanes
+//! held as [`LaneBlock`]s: per slot, `⌈k/W⌉` blocks of `W` real lanes plus
+//! `W` imaginary lanes, so every per-slot update is a straight-line loop
+//! the compiler vectorizes.
 //!
-//! Every lane is guaranteed **bit-for-bit identical** to the scalar
+//! Every lane is **bit-for-bit identical** to the scalar
 //! [`evaluate`](crate::evaluate())/
 //! [`evaluate_with_differentials`](crate::evaluate_with_differentials())
-//! result for the same weights: the per-lane operation sequence (including
-//! the zero short-circuit at AND nodes and the zero-partial skip in the
-//! downward pass, both expressed as per-lane selects — see
-//! [`crate::lanes`]) mirrors the scalar kernel exactly. The engine's sweep
+//! result for the same weights (see [`crate::lanes`]). The engine's sweep
 //! executor relies on this to keep results byte-identical across batch
 //! widths. Ragged `k` occupies the trailing block's leading lanes; its
 //! dead lanes are zero-filled and carried along as a masked remainder.
 
-use crate::lanes::{blocks_for, LaneBlock, LANE_WIDTH};
-use crate::nnf::{Nnf, NnfNode};
+use crate::lanes::{blocks_for, Lane, LaneBlock, LANE_WIDTH};
+use crate::tape::LaneWeights;
 use qkc_cnf::Lit;
 use qkc_math::{Complex, C_ONE, C_ZERO};
-use std::collections::HashMap;
 
 /// Literal weights for `k` bindings in lane-blocked split-plane layout:
 /// for each weight slot (row), `⌈k/W⌉` [`LaneBlock`]s of `W` lanes.
@@ -173,254 +167,28 @@ impl AcWeightsBatch {
     }
 }
 
-/// Unpacks the live lanes of node `id`'s block row into `out`.
-#[inline]
-pub(crate) fn unpack_row(
-    values: &[LaneBlock],
-    id: usize,
-    nb: usize,
-    k: usize,
-    out: &mut Vec<Complex>,
-) {
-    out.clear();
-    let row = &values[id * nb..id * nb + nb];
-    out.extend((0..k).map(|l| row[l / LANE_WIDTH].get(l % LANE_WIDTH)));
-}
-
-/// Upward pass over `k` weight lanes in one traversal: returns the root
-/// value of every lane, each bit-for-bit equal to the scalar
-/// [`evaluate`](crate::evaluate()) of that lane's weights.
-pub fn evaluate_batch(nnf: &Nnf, weights: &AcWeightsBatch) -> Vec<Complex> {
-    let mut values = Vec::new();
-    let mut out = Vec::new();
-    evaluate_batch_into(nnf, weights, &mut values, &mut out);
-    out
-}
-
-/// [`evaluate_batch`] with caller-owned buffers, so hot loops (one AC pass
-/// per basis state) amortize the allocations across calls: `values` holds
-/// the node-major lane blocks, `out` receives the `k` root values, and the
-/// returned slice borrows `out`.
-pub fn evaluate_batch_into<'v>(
-    nnf: &Nnf,
-    weights: &AcWeightsBatch,
-    values: &mut Vec<LaneBlock>,
-    out: &'v mut Vec<Complex>,
-) -> &'v [Complex] {
-    let k = weights.lanes();
-    out.clear();
-    if k == 0 {
-        return &[];
-    }
-    let nb = weights.blocks_per_row();
-    // Every node row is written by the pass (False rows are filled with
-    // zeros explicitly), so a resize without re-zeroing is sound.
-    values.resize(nnf.num_nodes() * nb, LaneBlock::ZERO);
-    upward_pass(nnf, weights, values, nb);
-    unpack_row(values, nnf.root() as usize, nb, k, out);
-    out
-}
-
-/// The evaluation upward pass: fills `values` (node-major, `nb` blocks per
-/// node). Each block update is a fixed-width split-plane loop, so there is
-/// one vectorized body for every lane count — ragged batches ride the
-/// masked remainder block instead of a hand-monomorphized `k`. (The
-/// differentials pass runs its own upward sweep — it needs full AND
-/// products, without the zero short-circuit used here.)
-fn upward_pass(nnf: &Nnf, weights: &AcWeightsBatch, values: &mut [LaneBlock], nb: usize) {
-    for (i, node) in nnf.nodes().iter().enumerate() {
-        let row = i * nb;
-        // Children precede parents, so splitting at `row` always puts every
-        // child block in `head` and the current node's blocks at `tail[..nb]`.
-        let (head, tail) = values.split_at_mut(row);
-        let out = &mut tail[..nb];
-        match node {
-            NnfNode::True => out.fill(LaneBlock::ONE),
-            NnfNode::False => out.fill(LaneBlock::ZERO),
-            NnfNode::Lit(l) => out.copy_from_slice(weights.row_blocks(*l)),
-            NnfNode::And(cs) => {
-                out.fill(LaneBlock::ONE);
-                for &c in cs.iter() {
-                    // Mirror the scalar kernel's early break, lifted to the
-                    // batch: a zero lane stops multiplying (the select in
-                    // `mul_assign_sc` keeps the exact bits the scalar pass
-                    // returns), and once every lane is dead the remaining
-                    // children are skipped entirely. Zeros come almost
-                    // exclusively from evidence weights, which are shared
-                    // across lanes, so lanes usually die together and the
-                    // whole-AND break fires about as often as the scalar
-                    // one.
-                    if out.iter().all(LaneBlock::all_zero) {
-                        break;
-                    }
-                    let child = &head[c as usize * nb..c as usize * nb + nb];
-                    for (acc, v) in out.iter_mut().zip(child) {
-                        acc.mul_assign_sc(v);
-                    }
-                }
-            }
-            NnfNode::Or(a, b) => {
-                let a = &head[*a as usize * nb..*a as usize * nb + nb];
-                let b = &head[*b as usize * nb..*b as usize * nb + nb];
-                for (acc, (x, y)) in out.iter_mut().zip(a.iter().zip(b)) {
-                    acc.add_of(x, y);
-                }
-            }
-        }
-    }
-}
-
-/// The result of a combined batched upward + downward pass: per-lane root
-/// values and per-lane partial derivatives with respect to every literal.
-#[derive(Debug)]
-pub struct DifferentialsBatch {
-    lanes: usize,
-    nb: usize,
-    values: Vec<LaneBlock>,
-    partials: Vec<LaneBlock>,
-    lit_nodes: HashMap<Lit, u32>,
-    root: u32,
-}
-
-impl DifferentialsBatch {
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
+impl LaneWeights<LaneBlock> for AcWeightsBatch {
+    #[inline(always)]
+    fn lanes(&self) -> usize {
         self.lanes
     }
 
-    /// The root value (amplitude) of lane `lane`.
-    pub fn value(&self, lane: usize) -> Complex {
-        self.values[self.root as usize * self.nb + lane / LANE_WIDTH].get(lane % LANE_WIDTH)
+    #[inline(always)]
+    fn num_slots(&self) -> usize {
+        AcWeightsBatch::num_slots(self)
     }
 
-    /// `∂f/∂w(lit)` in lane `lane` (see
-    /// [`Differentials::wrt_lit`](crate::Differentials::wrt_lit)). Returns
-    /// `None` if the literal does not appear in the circuit.
-    pub fn wrt_lit(&self, lit: Lit, lane: usize) -> Option<Complex> {
-        self.lit_nodes.get(&lit).map(|&id| self.wrt_node(id, lane))
-    }
-
-    /// The partial derivative of the root with respect to node `id` in lane
-    /// `lane`.
-    pub fn wrt_node(&self, id: u32, lane: usize) -> Complex {
-        self.partials[id as usize * self.nb + lane / LANE_WIDTH].get(lane % LANE_WIDTH)
+    #[inline(always)]
+    fn row(&self, slot: u32) -> &[LaneBlock] {
+        self.row_blocks_by_slot(slot)
     }
 }
 
-/// Combined batched upward and downward pass: one traversal each way,
-/// updating `k` lanes per node. Lane `l` matches the scalar
-/// [`evaluate_with_differentials`](crate::evaluate_with_differentials())
-/// bit-for-bit.
-pub fn evaluate_with_differentials_batch(
-    nnf: &Nnf,
-    weights: &AcWeightsBatch,
-) -> DifferentialsBatch {
-    let k = weights.lanes();
-    let nb = weights.blocks_per_row();
-    let n = nnf.num_nodes();
-    let mut values = vec![LaneBlock::ZERO; n * nb];
-    let mut lit_nodes: HashMap<Lit, u32> = HashMap::new();
-    // The downward pass needs full AND products, so run a dedicated upward
-    // pass without the zero short-circuit (as the scalar kernel does).
-    for (i, node) in nnf.nodes().iter().enumerate() {
-        let row = i * nb;
-        let (head, tail) = values.split_at_mut(row);
-        let out = &mut tail[..nb];
-        match node {
-            NnfNode::True => out.fill(LaneBlock::ONE),
-            NnfNode::False => {}
-            NnfNode::Lit(l) => {
-                lit_nodes.insert(*l, i as u32);
-                out.copy_from_slice(weights.row_blocks(*l));
-            }
-            NnfNode::And(cs) => {
-                out.fill(LaneBlock::ONE);
-                for &c in cs.iter() {
-                    let child = &head[c as usize * nb..c as usize * nb + nb];
-                    for (acc, v) in out.iter_mut().zip(child) {
-                        acc.mul_assign(v);
-                    }
-                }
-            }
-            NnfNode::Or(a, b) => {
-                let arow = *a as usize * nb;
-                let brow = *b as usize * nb;
-                for (bi, acc) in out.iter_mut().enumerate() {
-                    let (x, y) = (head[arow + bi], head[brow + bi]);
-                    acc.add_of(&x, &y);
-                }
-            }
-        }
-    }
-    let mut partials = vec![LaneBlock::ZERO; n * nb];
-    let root_row = nnf.root() as usize * nb;
-    partials[root_row..root_row + nb].fill(LaneBlock::ONE);
-    // Per-AND scratch, reused across nodes: prefix products (child-major,
-    // nb blocks each), suffix/accumulator blocks, and a copy of the node's
-    // partials (needed because `partials` is written below while the
-    // node's own row must stay fixed).
-    let mut prefix: Vec<LaneBlock> = Vec::new();
-    let mut suffix: Vec<LaneBlock> = vec![LaneBlock::ONE; nb];
-    let mut acc: Vec<LaneBlock> = vec![LaneBlock::ONE; nb];
-    let mut p: Vec<LaneBlock> = Vec::new();
-    for (i, node) in nnf.nodes().iter().enumerate().rev() {
-        let row = i * nb;
-        match node {
-            NnfNode::And(cs) => {
-                let p_row = &partials[row..row + nb];
-                if p_row.iter().all(LaneBlock::all_zero) {
-                    continue;
-                }
-                p.clear();
-                p.extend_from_slice(p_row);
-                // prefix[c] here holds the SUFFIX Π_{j>c} v_j, stashed
-                // from the right; the forward sweep then carries
-                // pq = p·Π_{j<c} v_j in `acc`, exactly as the scalar kernel.
-                prefix.clear();
-                prefix.resize(cs.len() * nb, LaneBlock::ONE);
-                suffix.fill(LaneBlock::ONE);
-                for (ci, &c) in cs.iter().enumerate().rev() {
-                    prefix[ci * nb..ci * nb + nb].copy_from_slice(&suffix);
-                    let child = &values[c as usize * nb..c as usize * nb + nb];
-                    for (s, v) in suffix.iter_mut().zip(child) {
-                        s.mul_assign(v);
-                    }
-                }
-                acc[..nb].copy_from_slice(&p);
-                for (ci, &c) in cs.iter().enumerate() {
-                    let crow = c as usize * nb;
-                    for bi in 0..nb {
-                        // Scalar kernel skips whole nodes whose partial is
-                        // zero; the per-lane select keeps each lane's
-                        // accumulation sequence (and so its bits) identical.
-                        let term_a = acc[bi];
-                        partials[crow + bi].add_mul_where(&p[bi], &term_a, &prefix[ci * nb + bi]);
-                    }
-                    let child = &values[crow..crow + nb];
-                    for (a, v) in acc.iter_mut().zip(child) {
-                        a.mul_assign(v);
-                    }
-                }
-            }
-            NnfNode::Or(a, b) => {
-                let arow = *a as usize * nb;
-                let brow = *b as usize * nb;
-                for bi in 0..nb {
-                    let p = partials[row + bi];
-                    partials[arow + bi].add_where_nonzero(&p);
-                    partials[brow + bi].add_where_nonzero(&p);
-                }
-            }
-            _ => {}
-        }
-    }
-    DifferentialsBatch {
-        lanes: k,
-        nb,
-        values,
-        partials,
-        lit_nodes,
-        root: nnf.root(),
+/// Unpacks the first `out.len()` lanes of a block row into `out`.
+#[inline]
+pub(crate) fn unpack_row(row: &[LaneBlock], out: &mut [Complex]) {
+    for (l, o) in out.iter_mut().enumerate() {
+        *o = row[l / LANE_WIDTH].get(l % LANE_WIDTH);
     }
 }
 
@@ -429,6 +197,8 @@ mod tests {
     use super::*;
     use crate::compiler::{compile, CompileOptions};
     use crate::evaluate::{evaluate, evaluate_with_differentials, AcWeights};
+    use crate::nnf::Nnf;
+    use crate::tape::{AcTape, TapeEvaluator};
     use crate::transform::smooth;
     use qkc_cnf::Cnf;
     use rand::rngs::StdRng;
@@ -474,6 +244,8 @@ mod tests {
     #[test]
     fn batch_matches_scalar_bit_for_bit() {
         let nnf = test_nnf();
+        let tape = AcTape::lower(&nnf);
+        let mut eval = TapeEvaluator::new();
         let mut rng = StdRng::seed_from_u64(11);
         // Ragged widths straddle the block boundary: 1, W−1, W, W+1, 2W+3.
         for k in [
@@ -485,7 +257,7 @@ mod tests {
             2 * LANE_WIDTH + 3,
         ] {
             let lanes: Vec<AcWeights> = (0..k).map(|_| random_weights(3, &mut rng)).collect();
-            let got = evaluate_batch(&nnf, &batch_of(&lanes));
+            let got = eval.evaluate_batch(&tape, &batch_of(&lanes)).to_vec();
             assert_eq!(got.len(), k);
             for (lane, w) in lanes.iter().enumerate() {
                 let want = evaluate(&nnf, w);
@@ -503,6 +275,7 @@ mod tests {
         // Zero weights exercise the AND short-circuit; signs of zero must
         // still match the scalar kernel.
         let nnf = test_nnf();
+        let tape = AcTape::lower(&nnf);
         let mut w0 = AcWeights::uniform(3);
         w0.set(1, C_ZERO, Complex::real(-1.0));
         w0.set(2, C_ZERO, C_ONE);
@@ -510,61 +283,35 @@ mod tests {
         w1.set(3, C_ZERO, C_ZERO);
         w1.set(1, Complex::real(-2.0), C_ONE);
         let lanes = [w0, w1];
-        let got = evaluate_batch(&nnf, &batch_of(&lanes));
+        let mut eval = TapeEvaluator::new();
+        let got = eval.evaluate_batch(&tape, &batch_of(&lanes));
         for (lane, w) in lanes.iter().enumerate() {
             assert!(bits_eq(got[lane], evaluate(&nnf, w)), "lane {lane}");
         }
     }
 
-    #[test]
-    fn differentials_batch_matches_scalar_bit_for_bit() {
-        let nnf = test_nnf();
-        let mut rng = StdRng::seed_from_u64(23);
-        for k in [1usize, 5, LANE_WIDTH, LANE_WIDTH + 1, 2 * LANE_WIDTH + 3] {
-            let lanes: Vec<AcWeights> = (0..k).map(|_| random_weights(3, &mut rng)).collect();
-            let batch = evaluate_with_differentials_batch(&nnf, &batch_of(&lanes));
-            assert_eq!(batch.lanes(), k);
-            for (lane, w) in lanes.iter().enumerate() {
-                let scalar = evaluate_with_differentials(&nnf, w);
-                assert!(
-                    bits_eq(batch.value(lane), scalar.value),
-                    "value k {k} lane {lane}"
-                );
-                for v in 1..=3i32 {
-                    for lit in [v, -v] {
-                        let got = batch.wrt_lit(lit, lane);
-                        let want = scalar.wrt_lit(lit);
-                        match (got, want) {
-                            (Some(g), Some(s)) => {
-                                assert!(bits_eq(g, s), "lit {lit} lane {lane}: {g} vs {s}");
-                            }
-                            (None, None) => {}
-                            other => panic!("lit {lit} lane {lane}: presence mismatch {other:?}"),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn differentials_batch_handles_zero_partials() {
-        // Evidence weights with zeros: the downward pass must stay exact
-        // (prefix/suffix products, no divisions) in every lane.
-        let nnf = test_nnf();
-        let mut w = AcWeights::uniform(3);
-        w.set(1, C_ONE, C_ZERO);
-        w.set(2, C_ZERO, C_ONE);
-        w.set(3, C_ONE, C_ZERO);
-        let lanes = [w.clone(), w];
-        let batch = evaluate_with_differentials_batch(&nnf, &batch_of(&lanes));
-        let scalar = evaluate_with_differentials(&nnf, &lanes[0]);
-        for lane in 0..2 {
+    /// Asserts every lane of the evaluator's last batched differential
+    /// pass equals the scalar enum-walk differentials of its weights.
+    fn assert_lanes_match_scalar(
+        nnf: &Nnf,
+        tape: &AcTape,
+        eval: &TapeEvaluator,
+        lanes: &[AcWeights],
+    ) {
+        for (lane, w) in lanes.iter().enumerate() {
+            let scalar = evaluate_with_differentials(nnf, w);
+            assert!(
+                bits_eq(eval.value_lane(tape, lane), scalar.value),
+                "value lane {lane}"
+            );
             for v in 1..=3i32 {
                 for lit in [v, -v] {
                     assert_eq!(
-                        batch.wrt_lit(lit, lane).map(|c| (c.re, c.im)),
-                        scalar.wrt_lit(lit).map(|c| (c.re, c.im)),
+                        eval.wrt_lit_lane(tape, lit, lane)
+                            .map(|c| (c.re.to_bits(), c.im.to_bits())),
+                        scalar
+                            .wrt_lit(lit)
+                            .map(|c| (c.re.to_bits(), c.im.to_bits())),
                         "lit {lit} lane {lane}"
                     );
                 }
@@ -573,11 +320,43 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_is_empty() {
+    fn differentials_batch_matches_scalar_bit_for_bit() {
         let nnf = test_nnf();
+        let tape = AcTape::lower(&nnf);
+        let mut eval = TapeEvaluator::new();
+        let mut rng = StdRng::seed_from_u64(23);
+        for k in [1usize, 5, LANE_WIDTH, LANE_WIDTH + 1, 2 * LANE_WIDTH + 3] {
+            let lanes: Vec<AcWeights> = (0..k).map(|_| random_weights(3, &mut rng)).collect();
+            eval.differentials_batch(&tape, &batch_of(&lanes));
+            assert_lanes_match_scalar(&nnf, &tape, &eval, &lanes);
+        }
+    }
+
+    #[test]
+    fn differentials_batch_handles_zero_partials() {
+        // Evidence weights with zeros: the downward pass must stay exact
+        // (prefix/suffix products, no divisions) in every lane.
+        let nnf = test_nnf();
+        let tape = AcTape::lower(&nnf);
+        let mut w = AcWeights::uniform(3);
+        w.set(1, C_ONE, C_ZERO);
+        w.set(2, C_ZERO, C_ONE);
+        w.set(3, C_ONE, C_ZERO);
+        let lanes = [w.clone(), w];
+        let mut eval = TapeEvaluator::new();
+        eval.differentials_batch(&tape, &batch_of(&lanes));
+        assert_lanes_match_scalar(&nnf, &tape, &eval, &lanes);
+    }
+
+    #[test]
+    fn empty_batch_is_empty() {
+        let tape = AcTape::lower(&test_nnf());
         let batch = AcWeightsBatch::uniform(3, 0);
-        assert!(evaluate_batch(&nnf, &batch).is_empty());
+        assert!(TapeEvaluator::new()
+            .evaluate_batch(&tape, &batch)
+            .is_empty());
         assert_eq!(batch.num_vars(), 0);
+        assert_eq!(batch.num_slots(), 0);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! downward pass is what makes Gibbs transitions O(|AC|).
 
 use crate::nnf::{Nnf, NnfNode};
+use crate::tape::LaneWeights;
 use qkc_cnf::Lit;
 use qkc_math::{Complex, C_ONE, C_ZERO};
 use std::collections::HashMap;
@@ -83,6 +84,23 @@ impl AcWeights {
     /// Number of variables covered.
     pub fn num_vars(&self) -> usize {
         self.w.len() / 2 - 1
+    }
+}
+
+impl LaneWeights<Complex> for AcWeights {
+    #[inline(always)]
+    fn lanes(&self) -> usize {
+        1
+    }
+
+    #[inline(always)]
+    fn num_slots(&self) -> usize {
+        self.w.len()
+    }
+
+    #[inline(always)]
+    fn row(&self, slot: u32) -> &[Complex] {
+        std::slice::from_ref(&self.w[slot as usize])
     }
 }
 

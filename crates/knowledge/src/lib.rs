@@ -9,17 +9,18 @@
 //! evaluated repeatedly as an *arithmetic circuit*: upward for amplitudes
 //! ([`evaluate`]), upward+downward for all single-flip amplitudes at once
 //! ([`evaluate_with_differentials`]), which drives the [`GibbsSampler`].
-//! Parameter sweeps amortize the traversal itself: [`evaluate_batch`] and
-//! [`evaluate_with_differentials_batch`] decode each node once and update
-//! `k` weight lanes ([`AcWeightsBatch`]) held in lane-blocked split-plane
-//! layout ([`lanes`]), bit-for-bit equal to `k` scalar evaluations.
 //!
 //! Production queries run on the flat execution form: [`AcTape`] lowers the
 //! enum arena once into a topologically-ordered instruction stream with CSR
-//! child storage, and [`TapeEvaluator`] runs every kernel (scalar, batched,
-//! differential, model sampling) over persistent buffers — zero allocations
-//! per query after warmup, bit-for-bit identical to the enum-walk kernels,
-//! which remain as the reference implementation.
+//! child storage, and [`TapeEvaluator`] runs every kernel (upward, delta,
+//! downward, tangent contraction, model sampling) over persistent buffers —
+//! zero allocations per query after warmup. Each arithmetic kernel is
+//! written once over a [`Lane`](lanes::Lane) type and instantiated for the
+//! scalar [`Complex`](qkc_math::Complex) and for `k` weight lanes
+//! ([`AcWeightsBatch`]) in lane-blocked split-plane layout ([`lanes`]).
+//! Every result is bit-for-bit identical, lane by lane, to the scalar
+//! enum walk ([`evaluate`], [`evaluate_with_differentials`],
+//! [`sample_model`]), which remains as the one reference implementation.
 //!
 //! # Examples
 //!
@@ -51,12 +52,9 @@ mod tape;
 mod transform;
 mod verify;
 
-pub use batch::{
-    evaluate_batch, evaluate_batch_into, evaluate_with_differentials_batch, AcWeightsBatch,
-    DifferentialsBatch,
-};
+pub use batch::AcWeightsBatch;
 pub use compiler::{compile, CompileOptions, CompileStats, Compiled};
-pub use evaluate::{evaluate, evaluate_with_differentials, AcWeights, Differentials};
+pub use evaluate::{evaluate, evaluate_with_differentials, sample_model, AcWeights, Differentials};
 pub use gibbs::{GibbsOptions, GibbsSampler, GibbsStats, QueryVar};
 pub use lanes::{LaneBlock, LANE_WIDTH};
 pub use nnf::{Nnf, NnfBuilder, NnfId, NnfNode};

@@ -19,16 +19,20 @@
 //! [`TapeEvaluator`] owns every scratch buffer the kernels need, so after
 //! the first call on a given tape no query allocates — and buffers whose
 //! every slot is overwritten by a pass are not even re-zeroed between
-//! calls. The upward pass, the upward+downward differential pass, the
-//! `k`-lane batched variants, and magnitude-guided model sampling all run
-//! over this persistent storage.
+//! calls. Each arithmetic kernel — the upward pass (short-circuited or
+//! full-product), the dirty-cone delta update, the downward sweep (whole
+//! tape or an ancestor cone) and the tangent contraction — is written
+//! once, generic over a [`Lane`] type, and walks rows of `nb` lane values
+//! per slot: the scalar queries instantiate it at [`Complex`] (`nb = 1`),
+//! the `k`-lane batched queries at [`LaneBlock`] (`nb = ⌈k/W⌉`).
+//! Magnitude-guided model sampling runs over the same persistent storage.
 //!
 //! # Determinism contract
 //!
-//! Every kernel is **bit-for-bit identical** to the enum-walk reference
-//! implementation ([`evaluate`](crate::evaluate()),
+//! Every kernel is **bit-for-bit identical**, lane by lane, to the scalar
+//! enum-walk reference implementation
+//! ([`evaluate`](crate::evaluate()),
 //! [`evaluate_with_differentials`](crate::evaluate_with_differentials()),
-//! [`evaluate_batch`](crate::evaluate_batch()),
 //! [`sample_model`](crate::sample_model())): the per-node operation
 //! sequence (child order, the zero short-circuit at AND nodes, the
 //! zero-partial skip in the downward pass, prefix/suffix products —
@@ -42,8 +46,9 @@
 //! never folded — model sampling draws one random number per OR visit, so
 //! removing one would shift the stream.
 
+use crate::batch::unpack_row;
 use crate::evaluate::AcWeights;
-use crate::lanes::{blocks_for, LaneBlock, LANE_WIDTH};
+use crate::lanes::{blocks_for, Lane, LaneBlock, LANE_WIDTH};
 use crate::nnf::{Nnf, NnfNode};
 use crate::AcWeightsBatch;
 use qkc_cnf::Lit;
@@ -316,8 +321,9 @@ impl AcTape {
     }
 
     /// One past the largest weight slot any literal instruction reads: the
-    /// minimum [`AcWeights::num_slots`] a weight vector must cover for the
-    /// kernels to accept it.
+    /// minimum number of weight slots (`2 × (num_vars + 1)` for an
+    /// [`AcWeights`]) a weight vector must cover for the kernels to accept
+    /// it.
     pub fn required_weight_slots(&self) -> u32 {
         self.weight_slots
     }
@@ -710,34 +716,34 @@ fn build_parent_csr(ops: &[TapeOp], edges: &[TapeId]) -> (Vec<u32>, Vec<TapeId>)
     (parent_offsets, parents)
 }
 
+/// Literal weights as slot rows of one lane type: the weight input of the
+/// generic kernels. An [`AcWeights`] row is one [`Complex`]; an
+/// [`AcWeightsBatch`] row is `⌈k/W⌉` [`LaneBlock`]s.
+pub(crate) trait LaneWeights<L> {
+    /// Complex lanes per row (1 for scalar weights).
+    fn lanes(&self) -> usize;
+    /// Number of weight slots covered.
+    fn num_slots(&self) -> usize;
+    /// The row of weight slot `slot`.
+    fn row(&self, slot: u32) -> &[L];
+}
+
 /// A reusable evaluator over [`AcTape`]s: owns every value/partial/scratch
 /// buffer the kernels need, so queries after the first allocation-warming
 /// call are zero-alloc. One evaluator serves tapes of any size (buffers
 /// grow monotonically); it is cheap to construct and intended to be kept
 /// alongside whatever owns the query loop (a bound artifact, a Gibbs
 /// chain, a sweep lane).
+///
+/// Scalar and batched passes run the same kernels, instantiated once per
+/// lane type, over separate buffer sets: a batched pass leaves the scalar
+/// results (and the scalar delta cache) intact, and vice versa.
 #[derive(Debug, Default)]
 pub struct TapeEvaluator {
-    /// Per-slot scalar values. Grow-only and never re-zeroed: every pass
-    /// overwrites every slot it reads.
-    values: Vec<Complex>,
-    /// Per-slot scalar partial derivatives of the root (zeroed per pass —
-    /// the downward sweep accumulates into it).
-    partials: Vec<Complex>,
-    /// Prefix products for the scalar downward AND sweep (child-major).
-    prefix: Vec<Complex>,
-    /// Per-slot lane-blocked values for the batch kernels (node-major,
-    /// `⌈k/W⌉` [`LaneBlock`]s per slot). Grow-only, like `values`.
-    bvalues: Vec<LaneBlock>,
-    /// Per-slot lane-blocked partials for the batch downward sweeps.
-    bpartials: Vec<LaneBlock>,
-    /// Blocked suffix-stash / suffix / accumulator / partial-copy scratch
-    /// for the batch downward sweeps. `bprefix` is sized once per pass
-    /// from the tape's [`AcTape::max_and_arity`].
-    bprefix: Vec<LaneBlock>,
-    bsuffix: Vec<LaneBlock>,
-    bacc: Vec<LaneBlock>,
-    bpcopy: Vec<LaneBlock>,
+    /// Scalar kernel state (one [`Complex`] per slot row).
+    scalar: LaneBufs<Complex>,
+    /// Batched kernel state (`⌈k/W⌉` [`LaneBlock`]s per slot row).
+    batch: LaneBufs<LaneBlock>,
     /// Unpacked live lanes of the batch root row — the persistent backing
     /// of the `&[Complex]` slices the batch upward passes return.
     root_out: Vec<Complex>,
@@ -746,44 +752,76 @@ pub struct TapeEvaluator {
     mags: Vec<f64>,
     /// Descent stack for model sampling.
     stack: Vec<TapeId>,
-    /// Lane count the `partials` buffer was filled for (scalar passes use
-    /// 1); guards the `wrt_*` accessors. Tracked separately from
-    /// `value_lanes` because a value-only pass (e.g. a batched upward)
-    /// leaves earlier partials intact at their own stride.
-    partial_lanes: usize,
-    /// Lane count the `values` buffer was filled for (scalar passes use 1).
-    value_lanes: usize,
-    /// What the `values` buffer currently holds (and for which tape) —
-    /// the validity gate for the delta kernels.
-    values_mode: ValuesMode,
-    values_stamp: u64,
+}
+
+/// One lane type's kernel state: node-major slot rows of `nb` lane values
+/// (`nb = 1` for [`Complex`]) plus the sweep scratch.
+#[derive(Debug)]
+struct LaneBufs<L> {
+    /// Per-slot value rows. Grow-only and never re-zeroed: every pass
+    /// overwrites every row it reads.
+    values: Vec<L>,
+    /// Per-slot partial-derivative rows (each downward sweep clears the
+    /// rows it visits, then accumulates into them).
+    partials: Vec<L>,
+    /// Suffix stash of the downward sweep's general-AND step (one value
+    /// per child), sized once per pass from [`AcTape::max_and_arity`].
+    stash: Vec<L>,
+    /// One-row scratch: the delta pass's candidate row, the contraction
+    /// accumulator.
+    acc: Vec<L>,
     /// Delta worklist membership flags (persistent; all false between
     /// calls).
     queued: Vec<bool>,
+    /// Lane count the `values` rows were filled for.
+    value_lanes: usize,
+    /// Lane count the `partials` rows were filled for. Tracked apart from
+    /// `value_lanes` because a value-only pass leaves earlier partials
+    /// intact at their own stride.
+    partial_lanes: usize,
+    /// What the `values` rows hold (and for which tape) — the validity
+    /// gate for the delta kernel.
+    mode: ValuesMode,
+    stamp: u64,
 }
 
-/// What arithmetic the `values` buffer was produced by. The two scalar
-/// modes differ in zero-sign bits (the short-circuited AND stops
-/// multiplying zeros), so a delta pass may only extend a buffer of its own
-/// mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+impl<L> Default for LaneBufs<L> {
+    fn default() -> Self {
+        Self {
+            values: Vec::new(),
+            partials: Vec::new(),
+            stash: Vec::new(),
+            acc: Vec::new(),
+            queued: Vec::new(),
+            value_lanes: 0,
+            partial_lanes: 0,
+            mode: ValuesMode::Invalid,
+            stamp: 0,
+        }
+    }
+}
+
+/// What arithmetic the `values` rows were produced by. The two modes
+/// differ in zero-sign bits (the short-circuited AND stops multiplying
+/// zeros), so a delta pass may only extend rows of its own mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ValuesMode {
-    /// No usable scalar buffer (fresh evaluator, or a batch pass
-    /// overwrote it with lane-strided data).
-    #[default]
+    /// No usable rows (fresh evaluator).
     Invalid,
     /// Short-circuited upward values ([`TapeEvaluator::evaluate`]).
     Evaluate,
     /// Full-product upward values (the differential passes).
     DiffUpward,
-    /// Lane-strided short-circuited upward values
-    /// ([`TapeEvaluator::evaluate_batch`]); valid for batch delta passes
-    /// with the same lane count.
-    BatchEvaluate,
-    /// Lane-strided full-product upward values (the batch differential
-    /// passes); valid for batch differential delta passes with the same
-    /// lane count.
-    BatchDiffUpward,
+}
+
+impl ValuesMode {
+    fn of(full_products: bool) -> Self {
+        if full_products {
+            Self::DiffUpward
+        } else {
+            Self::Evaluate
+        }
+    }
 }
 
 impl TapeEvaluator {
@@ -792,56 +830,12 @@ impl TapeEvaluator {
         Self::default()
     }
 
-    /// Grows `values` to at least `len` slots without re-zeroing live
-    /// ones: callers overwrite every slot they read.
-    #[inline]
-    fn ensure_values(&mut self, len: usize) {
-        if self.values.len() < len {
-            self.values.resize(len, C_ZERO);
-        }
-    }
-
     /// Upward pass: the circuit's value under `weights`. Bit-for-bit equal
     /// to [`evaluate`](crate::evaluate()) on the source [`Nnf`]. Zero
     /// allocations after the first call at a given size.
     pub fn evaluate(&mut self, tape: &AcTape, weights: &AcWeights) -> Complex {
-        tape.check_weights(weights.num_slots());
-        let n = tape.ops.len();
-        self.ensure_values(n);
-        let values = &mut self.values[..n];
-        // Safe indexing throughout: the bounds checks measurably help LLVM
-        // here (range information), and the lowering invariants make them
-        // never fail.
-        for (i, op) in tape.ops.iter().enumerate() {
-            values[i] = match op.kind {
-                TapeOpKind::Const => tape.consts[op.a as usize],
-                TapeOpKind::Lit => weights.by_slot(op.a),
-                TapeOpKind::And2 => {
-                    // The reference loop unrolled for two children:
-                    // acc = 1·v₀ (short-circuit) then acc·v₁.
-                    let mut acc = C_ONE * values[op.a as usize];
-                    if acc != C_ZERO {
-                        acc *= values[op.b as usize];
-                    }
-                    acc
-                }
-                TapeOpKind::And => {
-                    let mut acc = C_ONE;
-                    for &c in &tape.edges[op.a as usize..op.b as usize] {
-                        acc *= values[c as usize];
-                        if acc == C_ZERO {
-                            break;
-                        }
-                    }
-                    acc
-                }
-                TapeOpKind::Or => values[op.a as usize] + values[op.b as usize],
-            };
-        }
-        self.values_mode = ValuesMode::Evaluate;
-        self.values_stamp = tape.stamp;
-        self.value_lanes = 1;
-        values[tape.root as usize]
+        self.scalar.upward::<_, false>(tape, weights);
+        self.scalar.values[tape.root as usize]
     }
 
     /// [`evaluate`](TapeEvaluator::evaluate) when only the weights of
@@ -867,136 +861,23 @@ impl TapeEvaluator {
         weights: &AcWeights,
         changed_vars: &[u32],
     ) -> Complex {
-        if self.values_mode != ValuesMode::Evaluate || self.values_stamp != tape.stamp {
-            return self.evaluate(tape, weights);
-        }
-        tape.check_weights(weights.num_slots());
-        self.delta_update(tape, weights, changed_vars, false);
-        self.values[tape.root as usize]
-    }
-
-    /// Recomputes the dirty cone above `changed_vars` in `values`,
-    /// propagating only past slots whose bits actually changed.
-    /// `full_products` selects the differential-mode AND (no
-    /// short-circuit).
-    ///
-    /// The worklist is a flag scan, not a priority queue: dirty flags are
-    /// seeded at the changed literals, and one ascending sweep from the
-    /// lowest dirty slot processes them — children precede parents, so
-    /// every dirty slot sees fully updated children, and a pending counter
-    /// stops the sweep as soon as propagation dies out. A clean slot
-    /// costs one flag test; a dirty one, one node recompute.
-    fn delta_update(
-        &mut self,
-        tape: &AcTape,
-        weights: &AcWeights,
-        changed_vars: &[u32],
-        full_products: bool,
-    ) {
-        let n = tape.ops.len();
-        if self.queued.len() < n {
-            self.queued.resize(n, false);
-        }
-        let mut pending = 0usize;
-        let mut cursor = n;
-        for &v in changed_vars {
-            for lit in [v as Lit, -(v as Lit)] {
-                if let Some(slot) = tape.lit_slot(lit) {
-                    if !self.queued[slot as usize] {
-                        self.queued[slot as usize] = true;
-                        pending += 1;
-                        cursor = cursor.min(slot as usize);
-                    }
-                }
-            }
-        }
-        while pending > 0 {
-            if !self.queued[cursor] {
-                cursor += 1;
-                continue;
-            }
-            self.queued[cursor] = false;
-            pending -= 1;
-            let op = tape.ops[cursor];
-            let values = &self.values;
-            let new = match op.kind {
-                TapeOpKind::Const => tape.consts[op.a as usize],
-                TapeOpKind::Lit => weights.by_slot(op.a),
-                TapeOpKind::And2 => {
-                    let mut acc = C_ONE * values[op.a as usize];
-                    if full_products || acc != C_ZERO {
-                        acc *= values[op.b as usize];
-                    }
-                    acc
-                }
-                TapeOpKind::And => {
-                    let mut acc = C_ONE;
-                    for &c in &tape.edges[op.a as usize..op.b as usize] {
-                        acc *= values[c as usize];
-                        if !full_products && acc == C_ZERO {
-                            break;
-                        }
-                    }
-                    acc
-                }
-                TapeOpKind::Or => values[op.a as usize] + values[op.b as usize],
-            };
-            let old = self.values[cursor];
-            if new.re.to_bits() != old.re.to_bits() || new.im.to_bits() != old.im.to_bits() {
-                self.values[cursor] = new;
-                for &p in tape.parents_of(cursor as TapeId) {
-                    if !self.queued[p as usize] {
-                        self.queued[p as usize] = true;
-                        pending += 1;
-                    }
-                }
-            }
-            cursor += 1;
-        }
+        self.scalar.delta::<_, false>(tape, weights, changed_vars);
+        self.scalar.values[tape.root as usize]
     }
 
     /// Combined upward + downward pass: returns the root value and leaves
     /// the partial derivative of the root with respect to every slot in
     /// this evaluator, readable through [`TapeEvaluator::wrt_lit`] /
-    /// [`TapeEvaluator::wrt_slot`] until the next pass. Bit-for-bit equal
-    /// to [`evaluate_with_differentials`](crate::evaluate_with_differentials())
+    /// [`TapeEvaluator::wrt_slot`] until the next scalar differential
+    /// pass. Bit-for-bit equal to
+    /// [`evaluate_with_differentials`](crate::evaluate_with_differentials())
     /// (same full AND products upward, same prefix/suffix sweep and
     /// zero-partial skip downward — including the reference's
     /// multiplications by exact one). Zero allocations after warmup.
     pub fn differentials(&mut self, tape: &AcTape, weights: &AcWeights) -> Complex {
-        tape.check_weights(weights.num_slots());
-        self.upward_full_products(tape, weights);
-        self.downward(tape)
-    }
-
-    /// The full-product upward half shared by the differential passes:
-    /// fills `values` with every slot's value (no AND short-circuit) and
-    /// flags the buffer for delta reuse.
-    fn upward_full_products(&mut self, tape: &AcTape, weights: &AcWeights) {
-        let n = tape.ops.len();
-        self.ensure_values(n);
-        let values = &mut self.values[..n];
-        for (i, op) in tape.ops.iter().enumerate() {
-            values[i] = match op.kind {
-                TapeOpKind::Const => tape.consts[op.a as usize],
-                TapeOpKind::Lit => weights.by_slot(op.a),
-                TapeOpKind::And2 => {
-                    // Full product (no short-circuit): (1·v₀)·v₁.
-                    C_ONE * values[op.a as usize] * values[op.b as usize]
-                }
-                TapeOpKind::And => {
-                    let mut acc = C_ONE;
-                    for &c in &tape.edges[op.a as usize..op.b as usize] {
-                        acc *= values[c as usize];
-                    }
-                    acc
-                }
-                TapeOpKind::Or => values[op.a as usize] + values[op.b as usize],
-            };
-        }
-        self.values_mode = ValuesMode::DiffUpward;
-        self.values_stamp = tape.stamp;
-        self.value_lanes = 1;
+        self.scalar.upward::<_, true>(tape, weights);
+        self.scalar.downward(tape, &WholeTape(tape.ops.len()), 1);
+        self.scalar.values[tape.root as usize]
     }
 
     /// [`differentials`](TapeEvaluator::differentials) when only the
@@ -1017,12 +898,9 @@ impl TapeEvaluator {
         weights: &AcWeights,
         changed_vars: &[u32],
     ) -> Complex {
-        if self.values_mode != ValuesMode::DiffUpward || self.values_stamp != tape.stamp {
-            return self.differentials(tape, weights);
-        }
-        tape.check_weights(weights.num_slots());
-        self.delta_update(tape, weights, changed_vars, true);
-        self.downward(tape)
+        self.scalar.delta::<_, true>(tape, weights, changed_vars);
+        self.scalar.downward(tape, &WholeTape(tape.ops.len()), 1);
+        self.scalar.values[tape.root as usize]
     }
 
     /// [`differentials`](TapeEvaluator::differentials) with the downward
@@ -1041,9 +919,9 @@ impl TapeEvaluator {
         weights: &AcWeights,
         cone: &DiffCone,
     ) -> Complex {
-        tape.check_weights(weights.num_slots());
-        self.upward_full_products(tape, weights);
-        self.downward_cone(tape, cone)
+        self.scalar.upward::<_, true>(tape, weights);
+        self.scalar.downward(tape, cone, 1);
+        self.scalar.values[tape.root as usize]
     }
 
     /// [`differentials_delta`](TapeEvaluator::differentials_delta) with the
@@ -1061,146 +939,9 @@ impl TapeEvaluator {
         changed_vars: &[u32],
         cone: &DiffCone,
     ) -> Complex {
-        if self.values_mode != ValuesMode::DiffUpward || self.values_stamp != tape.stamp {
-            return self.differentials_cone(tape, weights, cone);
-        }
-        tape.check_weights(weights.num_slots());
-        self.delta_update(tape, weights, changed_vars, true);
-        self.downward_cone(tape, cone)
-    }
-
-    /// The downward sweep restricted to an ancestor cone. Every parent of
-    /// a cone slot is itself a cone slot (the cone is an ancestor
-    /// closure), so each cone slot receives exactly the contributions the
-    /// full sweep gives it — same descending order, same zero-partial
-    /// skip, same per-node multiplication sequence — and its partial is
-    /// bit-for-bit the full sweep's.
-    fn downward_cone(&mut self, tape: &AcTape, cone: &DiffCone) -> Complex {
-        debug_assert_eq!(cone.stamp, tape.stamp, "cone built for a different tape");
-        let n = tape.ops.len();
-        let values = &self.values[..n];
-        if self.partials.len() < n {
-            self.partials.resize(n, C_ZERO);
-        }
-        self.partial_lanes = 1;
-        let partials = &mut self.partials[..n];
-        for &s in &cone.slots {
-            partials[s as usize] = C_ZERO;
-        }
-        if cone.slots.is_empty() {
-            return values[tape.root as usize];
-        }
-        partials[tape.root as usize] = C_ONE;
-        for &slot in cone.slots.iter().rev() {
-            let i = slot as usize;
-            let p = partials[i];
-            if p == C_ZERO {
-                continue;
-            }
-            let op = tape.ops[i];
-            match op.kind {
-                TapeOpKind::And2 => {
-                    let va = values[op.a as usize];
-                    let vb = values[op.b as usize];
-                    if cone.member[op.a as usize] {
-                        partials[op.a as usize] += p * (C_ONE * vb);
-                    }
-                    if cone.member[op.b as usize] {
-                        partials[op.b as usize] += (p * va) * C_ONE;
-                    }
-                }
-                TapeOpKind::And => {
-                    let cs = &tape.edges[op.a as usize..op.b as usize];
-                    // Stash the suffix from the right; the forward sweep
-                    // then carries pq = p·(prefix product) so each member
-                    // contribution costs a single multiply.
-                    self.prefix.clear();
-                    self.prefix.resize(cs.len(), C_ONE);
-                    // The suffix accumulates over every child (the product
-                    // sequence must match the full sweep's); only the adds
-                    // into non-cone children are skipped — they can never
-                    // flow back into a cone slot.
-                    let mut suffix = C_ONE;
-                    for (k, &c) in cs.iter().enumerate().rev() {
-                        self.prefix[k] = suffix;
-                        suffix *= values[c as usize];
-                    }
-                    let mut pq = p;
-                    for (k, &c) in cs.iter().enumerate() {
-                        if cone.member[c as usize] {
-                            partials[c as usize] += pq * self.prefix[k];
-                        }
-                        pq *= values[c as usize];
-                    }
-                }
-                TapeOpKind::Or => {
-                    if cone.member[op.a as usize] {
-                        partials[op.a as usize] += p;
-                    }
-                    if cone.member[op.b as usize] {
-                        partials[op.b as usize] += p;
-                    }
-                }
-                _ => {}
-            }
-        }
-        values[tape.root as usize]
-    }
-
-    /// The downward (partial-derivative) sweep over the current
-    /// full-product `values` buffer. Returns the root value.
-    fn downward(&mut self, tape: &AcTape) -> Complex {
-        let n = tape.ops.len();
-        let values = &self.values[..n];
-        if self.partials.len() < n {
-            self.partials.resize(n, C_ZERO);
-        }
-        self.partial_lanes = 1;
-        let partials = &mut self.partials[..n];
-        partials.fill(C_ZERO);
-        partials[tape.root as usize] = C_ONE;
-        for (i, op) in tape.ops.iter().enumerate().rev() {
-            let p = partials[i];
-            if p == C_ZERO {
-                continue;
-            }
-            match op.kind {
-                TapeOpKind::And2 => {
-                    // The reference suffix-stash/pq sweep unrolled for two
-                    // children, keeping its exact multiplication sequence:
-                    // suffix stash = [1·v₁, 1], pq = p then p·v₀.
-                    let va = values[op.a as usize];
-                    let vb = values[op.b as usize];
-                    partials[op.a as usize] += p * (C_ONE * vb);
-                    partials[op.b as usize] += (p * va) * C_ONE;
-                }
-                TapeOpKind::And => {
-                    let cs = &tape.edges[op.a as usize..op.b as usize];
-                    // Stash the suffix Π_{j>k} v_j from the right; the
-                    // forward sweep then carries pq = p·Π_{j<k} v_j so each
-                    // child's contribution pq·suffix[k] costs a single
-                    // multiply (exact with zero children — no divisions).
-                    self.prefix.clear();
-                    self.prefix.resize(cs.len(), C_ONE);
-                    let mut suffix = C_ONE;
-                    for (k, &c) in cs.iter().enumerate().rev() {
-                        self.prefix[k] = suffix;
-                        suffix *= values[c as usize];
-                    }
-                    let mut pq = p;
-                    for (k, &c) in cs.iter().enumerate() {
-                        partials[c as usize] += pq * self.prefix[k];
-                        pq *= values[c as usize];
-                    }
-                }
-                TapeOpKind::Or => {
-                    partials[op.a as usize] += p;
-                    partials[op.b as usize] += p;
-                }
-                _ => {}
-            }
-        }
-        values[tape.root as usize]
+        self.scalar.delta::<_, true>(tape, weights, changed_vars);
+        self.scalar.downward(tape, cone, 1);
+        self.scalar.values[tape.root as usize]
     }
 
     /// `∂f/∂w(lit)` from the most recent scalar
@@ -1211,16 +952,14 @@ impl TapeEvaluator {
     /// table was built at lowering time.
     #[inline]
     pub fn wrt_lit(&self, tape: &AcTape, lit: Lit) -> Option<Complex> {
-        debug_assert_eq!(self.partial_lanes, 1, "scalar read after batch pass");
-        tape.lit_slot(lit).map(|s| self.partials[s as usize])
+        tape.lit_slot(lit).map(|s| self.scalar.partials[s as usize])
     }
 
     /// The partial derivative of the root with respect to tape slot `slot`
     /// from the most recent scalar differentials pass.
     #[inline]
     pub fn wrt_slot(&self, slot: TapeId) -> Complex {
-        debug_assert_eq!(self.partial_lanes, 1, "scalar read after batch pass");
-        self.partials[slot as usize]
+        self.scalar.partials[slot as usize]
     }
 
     /// Snapshot of the most recent scalar differentials pass, owning its
@@ -1232,28 +971,31 @@ impl TapeEvaluator {
         tape: &'t AcTape,
         value: Complex,
     ) -> TapeDifferentials<'t> {
-        debug_assert_eq!(self.partial_lanes, 1, "scalar snapshot after batch pass");
         TapeDifferentials {
             value,
-            partials: self.partials[..tape.ops.len()].to_vec(),
+            partials: self.scalar.partials[..tape.ops.len()].to_vec(),
             tape,
         }
     }
 
-    /// Grows the blocked value buffer to at least `len` blocks without
-    /// re-zeroing live ones: the batch passes overwrite every row they
-    /// read.
-    #[inline]
-    fn ensure_bvalues(&mut self, len: usize) {
-        if self.bvalues.len() < len {
-            self.bvalues.resize(len, LaneBlock::ZERO);
+    /// Zero-lane batches run no kernel: they only reset the batch lane
+    /// counts. Returns whether `weights` is such a batch.
+    fn empty_batch(&mut self, weights: &AcWeightsBatch) -> bool {
+        let empty = weights.lanes() == 0;
+        if empty {
+            self.batch.value_lanes = 0;
+            self.batch.partial_lanes = 0;
         }
+        empty
     }
 
-    /// Unpacks the live lanes of the root's block row into the persistent
+    /// Unpacks the live lanes of the batch root row into the persistent
     /// `root_out` buffer and returns it.
-    fn unpack_root(&mut self, tape: &AcTape, nb: usize, k: usize) -> &[Complex] {
-        crate::batch::unpack_row(&self.bvalues, tape.root as usize, nb, k, &mut self.root_out);
+    fn unpack_root(&mut self, tape: &AcTape) -> &[Complex] {
+        let k = self.batch.value_lanes;
+        let root = tape.root as usize * blocks_for(k);
+        self.root_out.resize(k, C_ZERO);
+        unpack_row(&self.batch.values[root..], &mut self.root_out);
         &self.root_out
     }
 
@@ -1261,24 +1003,15 @@ impl TapeEvaluator {
     /// `⌈k/W⌉` lane blocks per slot, each a fixed-width split-plane loop
     /// the compiler vectorizes. Returns the `k` root values; lane `l` is
     /// bit-for-bit the scalar [`evaluate`](TapeEvaluator::evaluate) of
-    /// that lane's weights (mirroring
-    /// [`evaluate_batch`](crate::evaluate_batch()): per-lane zero
-    /// short-circuit as a select, whole-AND break once every lane is
+    /// that lane's weights (the same kernel: the per-lane zero
+    /// short-circuit is a select, and an AND breaks once every lane is
     /// dead).
     pub fn evaluate_batch(&mut self, tape: &AcTape, weights: &AcWeightsBatch) -> &[Complex] {
-        let k = weights.lanes();
-        if k == 0 {
+        if self.empty_batch(weights) {
             return &[];
         }
-        tape.check_weights(weights.num_slots());
-        let n = tape.ops.len();
-        let nb = weights.blocks_per_row();
-        self.ensure_bvalues(n * nb);
-        self.value_lanes = k;
-        self.values_mode = ValuesMode::BatchEvaluate;
-        self.values_stamp = tape.stamp;
-        batch_upward(tape, weights, &mut self.bvalues[..n * nb], nb);
-        self.unpack_root(tape, nb, k)
+        self.batch.upward::<_, false>(tape, weights);
+        self.unpack_root(tape)
     }
 
     /// [`evaluate_batch`](TapeEvaluator::evaluate_batch) when only the
@@ -1297,10 +1030,10 @@ impl TapeEvaluator {
     /// mode or tape, or has a different lane count, so it is always safe to
     /// call. Lane `l` is bit-for-bit the scalar
     /// [`evaluate`](TapeEvaluator::evaluate) of that lane's weights: every
-    /// recomputed slot runs the batch kernel's per-lane arithmetic (itself
-    /// bit-identical to scalar), and propagation past a slot stops only
-    /// when **every** lane's bits are unchanged — a pure function of
-    /// unchanged children, by induction over the topological order.
+    /// recomputed slot runs the per-lane arithmetic of the full pass, and
+    /// propagation past a slot stops only when **every** lane's bits are
+    /// unchanged — a pure function of unchanged children, by induction
+    /// over the topological order.
     ///
     /// The caller must list every variable whose weights changed in **any**
     /// lane since the previous pass (listing unchanged ones is harmless).
@@ -1310,291 +1043,32 @@ impl TapeEvaluator {
         weights: &AcWeightsBatch,
         changed_vars: &[u32],
     ) -> &[Complex] {
-        let k = weights.lanes();
-        if k == 0 {
+        if self.empty_batch(weights) {
             return &[];
         }
-        if self.values_mode != ValuesMode::BatchEvaluate
-            || self.values_stamp != tape.stamp
-            || self.value_lanes != k
-        {
-            return self.evaluate_batch(tape, weights);
-        }
-        tape.check_weights(weights.num_slots());
-        let nb = weights.blocks_per_row();
-        self.delta_update_batch(tape, weights, changed_vars, nb, false);
-        self.unpack_root(tape, nb, k)
-    }
-
-    /// The batched analogue of [`delta_update`](TapeEvaluator::delta_update):
-    /// one ascending flag-scan sweep recomputing dirty slot *rows* (all `k`
-    /// lanes) with a single decode each, propagating to parents when any
-    /// lane's bits changed. `full_products` selects the differential
-    /// passes' no-short-circuit AND arithmetic, exactly as in the scalar
-    /// kernel.
-    fn delta_update_batch(
-        &mut self,
-        tape: &AcTape,
-        weights: &AcWeightsBatch,
-        changed_vars: &[u32],
-        nb: usize,
-        full_products: bool,
-    ) {
-        let n = tape.ops.len();
-        if self.queued.len() < n {
-            self.queued.resize(n, false);
-        }
-        let mut pending = 0usize;
-        let mut cursor = n;
-        for &v in changed_vars {
-            for lit in [v as Lit, -(v as Lit)] {
-                if let Some(slot) = tape.lit_slot(lit) {
-                    if !self.queued[slot as usize] {
-                        self.queued[slot as usize] = true;
-                        pending += 1;
-                        cursor = cursor.min(slot as usize);
-                    }
-                }
-            }
-        }
-        // Row scratch: the candidate new blocks of the slot being
-        // recomputed (all lanes), compared bitwise against the cached
-        // row before overwriting. Dead remainder lanes are deterministic
-        // functions of the zero-filled weights, so whole-block bitwise
-        // comparison stays sound for ragged batches.
-        self.bacc.clear();
-        self.bacc.resize(nb, LaneBlock::ZERO);
-        while pending > 0 {
-            if !self.queued[cursor] {
-                cursor += 1;
-                continue;
-            }
-            self.queued[cursor] = false;
-            pending -= 1;
-            let op = tape.ops[cursor];
-            let row = cursor * nb;
-            {
-                // Disjoint field borrows: children are read from `bvalues`
-                // (all at slots < cursor), the candidate row lands in `bacc`.
-                let values = &self.bvalues;
-                let out = &mut self.bacc[..nb];
-                match op.kind {
-                    TapeOpKind::Const => out.fill(LaneBlock::splat(tape.consts[op.a as usize])),
-                    TapeOpKind::Lit => out.copy_from_slice(weights.row_blocks_by_slot(op.a)),
-                    TapeOpKind::And2 => {
-                        let arow = &values[op.a as usize * nb..op.a as usize * nb + nb];
-                        let brow = &values[op.b as usize * nb..op.b as usize * nb + nb];
-                        for (acc, (x, y)) in out.iter_mut().zip(arow.iter().zip(brow)) {
-                            *acc = LaneBlock::one_times(x);
-                            if full_products {
-                                acc.mul_assign(y);
-                            } else {
-                                acc.mul_assign_sc(y);
-                            }
-                        }
-                    }
-                    TapeOpKind::And => {
-                        out.fill(LaneBlock::ONE);
-                        for &c in &tape.edges[op.a as usize..op.b as usize] {
-                            if !full_products && out.iter().all(LaneBlock::all_zero) {
-                                break;
-                            }
-                            let child = &values[c as usize * nb..c as usize * nb + nb];
-                            for (acc, v) in out.iter_mut().zip(child) {
-                                if full_products {
-                                    acc.mul_assign(v);
-                                } else {
-                                    acc.mul_assign_sc(v);
-                                }
-                            }
-                        }
-                    }
-                    TapeOpKind::Or => {
-                        let arow = op.a as usize * nb;
-                        let brow = op.b as usize * nb;
-                        for (bi, acc) in out.iter_mut().enumerate() {
-                            acc.add_of(&values[arow + bi], &values[brow + bi]);
-                        }
-                    }
-                }
-            }
-            let old = &self.bvalues[row..row + nb];
-            let any_changed = self.bacc[..nb]
-                .iter()
-                .zip(old)
-                .any(|(new, old)| new.bits_ne(old));
-            if any_changed {
-                self.bvalues[row..row + nb].copy_from_slice(&self.bacc[..nb]);
-                for &p in tape.parents_of(cursor as TapeId) {
-                    if !self.queued[p as usize] {
-                        self.queued[p as usize] = true;
-                        pending += 1;
-                    }
-                }
-            }
-            cursor += 1;
-        }
+        self.batch.delta::<_, false>(tape, weights, changed_vars);
+        self.unpack_root(tape)
     }
 
     /// Batched upward + downward pass: per-lane root values and partials.
-    /// Lane `l` matches the scalar differentials pass bit-for-bit (same
-    /// per-lane zero-partial skip). Read results through
+    /// Lane `l` matches the scalar differentials pass bit-for-bit (the
+    /// same kernel; a zero-partial lane adds exact zeros, which leave its
+    /// accumulators' bits unchanged). Read results through
     /// [`value_lane`](TapeEvaluator::value_lane) /
     /// [`wrt_lit_lane`](TapeEvaluator::wrt_lit_lane).
     pub fn differentials_batch(&mut self, tape: &AcTape, weights: &AcWeightsBatch) {
-        let k = weights.lanes();
-        self.partial_lanes = k;
-        self.value_lanes = k;
-        if k == 0 {
+        if self.empty_batch(weights) {
             return;
         }
-        tape.check_weights(weights.num_slots());
-        self.upward_full_products_batch(tape, weights, k);
-        self.downward_batch(tape, k);
-    }
-
-    /// The lane-strided full-product upward half shared by the batch
-    /// differential passes; flags the buffer for batch differential delta
-    /// reuse.
-    fn upward_full_products_batch(&mut self, tape: &AcTape, weights: &AcWeightsBatch, k: usize) {
-        let n = tape.ops.len();
-        let nb = weights.blocks_per_row();
-        self.ensure_bvalues(n * nb);
-        self.value_lanes = k;
-        self.values_mode = ValuesMode::BatchDiffUpward;
-        self.values_stamp = tape.stamp;
-        let values = &mut self.bvalues[..n * nb];
-        for (i, op) in tape.ops.iter().enumerate() {
-            let row = i * nb;
-            let (head, tail) = values.split_at_mut(row);
-            let out = &mut tail[..nb];
-            match op.kind {
-                TapeOpKind::Const => out.fill(LaneBlock::splat(tape.consts[op.a as usize])),
-                TapeOpKind::Lit => out.copy_from_slice(weights.row_blocks_by_slot(op.a)),
-                TapeOpKind::And2 => {
-                    let arow = &head[op.a as usize * nb..op.a as usize * nb + nb];
-                    let brow = &head[op.b as usize * nb..op.b as usize * nb + nb];
-                    for (acc, (x, y)) in out.iter_mut().zip(arow.iter().zip(brow)) {
-                        *acc = LaneBlock::one_times(x);
-                        acc.mul_assign(y);
-                    }
-                }
-                TapeOpKind::And => {
-                    out.fill(LaneBlock::ONE);
-                    for &c in &tape.edges[op.a as usize..op.b as usize] {
-                        let child = &head[c as usize * nb..c as usize * nb + nb];
-                        for (a, v) in out.iter_mut().zip(child) {
-                            a.mul_assign(v);
-                        }
-                    }
-                }
-                TapeOpKind::Or => {
-                    let arow = op.a as usize * nb;
-                    let brow = op.b as usize * nb;
-                    for (bi, a) in out.iter_mut().enumerate() {
-                        a.add_of(&head[arow + bi], &head[brow + bi]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The full-tape batch downward sweep over the current lane-strided
-    /// full-product `values` buffer.
-    fn downward_batch(&mut self, tape: &AcTape, k: usize) {
-        let n = tape.ops.len();
-        let nb = blocks_for(k);
-        let values = &self.bvalues[..n * nb];
-        if self.bpartials.len() < n * nb {
-            self.bpartials.resize(n * nb, LaneBlock::ZERO);
-        }
-        self.partial_lanes = k;
-        let partials = &mut self.bpartials[..n * nb];
-        partials.fill(LaneBlock::ZERO);
-        let root_row = tape.root as usize * nb;
-        // The root partial seed is MASKED: live lanes start at one, dead
-        // remainder lanes at zero — so dead-lane partials stay zero and
-        // the all-zero row skips fire exactly as with a full block.
-        masked_ones_row(&mut partials[root_row..root_row + nb], k);
-        self.bsuffix.clear();
-        self.bsuffix.resize(nb, LaneBlock::ONE);
-        self.bacc.clear();
-        self.bacc.resize(nb, LaneBlock::ONE);
-        // The stash is pre-sized once from the tape's maximum AND arity
-        // (grow-only); the backward scan overwrites every entry the
-        // forward scan reads, so no per-slot fill is needed.
-        let stash = tape.max_and_arity as usize * nb;
-        if self.bprefix.len() < stash {
-            self.bprefix.resize(stash, LaneBlock::ZERO);
-        }
-        for (i, op) in tape.ops.iter().enumerate().rev() {
-            let row = i * nb;
-            match op.kind {
-                TapeOpKind::And2 | TapeOpKind::And => {
-                    let p_row = &partials[row..row + nb];
-                    if p_row.iter().all(LaneBlock::all_zero) {
-                        continue;
-                    }
-                    self.bpcopy.clear();
-                    self.bpcopy.extend_from_slice(p_row);
-                    let pair = [op.a, op.b];
-                    let cs: &[TapeId] = if op.kind == TapeOpKind::And2 {
-                        &pair
-                    } else {
-                        &tape.edges[op.a as usize..op.b as usize]
-                    };
-                    // `bprefix` stashes the SUFFIX Π_{j>c} v_j from the
-                    // right; the forward sweep carries pq = p·Π_{j<c} v_j
-                    // in `bacc`, exactly as the scalar kernel.
-                    self.bsuffix.fill(LaneBlock::ONE);
-                    for (ci, &c) in cs.iter().enumerate().rev() {
-                        self.bprefix[ci * nb..ci * nb + nb].copy_from_slice(&self.bsuffix);
-                        let child = &values[c as usize * nb..c as usize * nb + nb];
-                        for (s, v) in self.bsuffix.iter_mut().zip(child) {
-                            s.mul_assign(v);
-                        }
-                    }
-                    self.bacc[..nb].copy_from_slice(&self.bpcopy);
-                    for (ci, &c) in cs.iter().enumerate() {
-                        let crow = c as usize * nb;
-                        for bi in 0..nb {
-                            // Per-lane zero-partial select keeps each
-                            // lane's accumulation sequence identical to
-                            // scalar.
-                            let pq = self.bacc[bi];
-                            partials[crow + bi].add_mul_where(
-                                &self.bpcopy[bi],
-                                &pq,
-                                &self.bprefix[ci * nb + bi],
-                            );
-                        }
-                        let child = &values[crow..crow + nb];
-                        for (a, v) in self.bacc.iter_mut().zip(child) {
-                            a.mul_assign(v);
-                        }
-                    }
-                }
-                TapeOpKind::Or => {
-                    let arow = op.a as usize * nb;
-                    let brow = op.b as usize * nb;
-                    // Children precede parents, so both child rows sit in
-                    // `head` and the borrow split is disjoint.
-                    let (head, tail) = partials.split_at_mut(row);
-                    let p_row = &tail[..nb];
-                    for (bi, p) in p_row.iter().enumerate() {
-                        head[arow + bi].add_where_nonzero(p);
-                        head[brow + bi].add_where_nonzero(p);
-                    }
-                }
-                _ => {}
-            }
-        }
+        self.batch.upward::<_, true>(tape, weights);
+        self.batch
+            .downward(tape, &WholeTape(tape.ops.len()), weights.lanes());
     }
 
     /// Batched [`differentials_cone`](TapeEvaluator::differentials_cone):
-    /// lane-strided full-product upward plus a cone-restricted batch
-    /// downward. Lane `l`'s partials at every cone slot are bit-for-bit
-    /// the scalar [`differentials_cone`](TapeEvaluator::differentials_cone)
+    /// lane-blocked full-product upward plus a cone-restricted downward.
+    /// Lane `l`'s partials at every cone slot are bit-for-bit the scalar
+    /// [`differentials_cone`](TapeEvaluator::differentials_cone)
     /// of that lane's weights (hence bit-for-bit the full scalar
     /// [`differentials`](TapeEvaluator::differentials) there). Read root
     /// values through [`value_lane`](TapeEvaluator::value_lane) and
@@ -1613,15 +1087,11 @@ impl TapeEvaluator {
         weights: &AcWeightsBatch,
         cone: &DiffCone,
     ) {
-        let k = weights.lanes();
-        self.partial_lanes = k;
-        self.value_lanes = k;
-        if k == 0 {
+        if self.empty_batch(weights) {
             return;
         }
-        tape.check_weights(weights.num_slots());
-        self.upward_full_products_batch(tape, weights, k);
-        self.downward_cone_batch(tape, cone, k);
+        self.batch.upward::<_, true>(tape, weights);
+        self.batch.downward(tape, cone, weights.lanes());
     }
 
     /// [`differentials_cone_batch`](TapeEvaluator::differentials_cone_batch)
@@ -1637,251 +1107,28 @@ impl TapeEvaluator {
         changed_vars: &[u32],
         cone: &DiffCone,
     ) {
-        let k = weights.lanes();
-        if k == 0 {
-            self.partial_lanes = 0;
-            self.value_lanes = 0;
+        if self.empty_batch(weights) {
             return;
         }
-        if self.values_mode != ValuesMode::BatchDiffUpward
-            || self.values_stamp != tape.stamp
-            || self.value_lanes != k
-        {
-            return self.differentials_cone_batch(tape, weights, cone);
-        }
-        tape.check_weights(weights.num_slots());
-        self.partial_lanes = k;
-        self.delta_update_batch(tape, weights, changed_vars, weights.blocks_per_row(), true);
-        self.downward_cone_batch(tape, cone, k);
-    }
-
-    /// Hints the CPU to start pulling the block row starting at `buf[at]`
-    /// — the batched downward sweeps are latency-bound on scattered row
-    /// fetches (a few hundred cycles of stall against a couple hundred
-    /// cycles of arithmetic per slot), so the hint is nearly free and
-    /// hides most of the miss. No-op off x86_64.
-    #[inline(always)]
-    // Audited exception to the workspace `unsafe_code` deny: a pure
-    // cache hint, no architectural reads or writes.
-    #[allow(unsafe_code)]
-    fn prefetch_row(buf: &[LaneBlock], at: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // Touch only the first block (128 bytes = two cache lines);
-            // the in-row access pattern is sequential, so the hardware
-            // stream prefetcher covers any further blocks. Requesting
-            // every line of every row of a wide product node floods the
-            // load queue and evicts live data — measurably slower than
-            // under-prefetching.
-            if at < buf.len() {
-                // SAFETY: `at` is in bounds; prefetch reads nothing
-                // architecturally and has no side effects beyond the cache.
-                unsafe {
-                    let p = buf.as_ptr().add(at) as *const i8;
-                    core::arch::x86_64::_mm_prefetch(p, core::arch::x86_64::_MM_HINT_T0);
-                    core::arch::x86_64::_mm_prefetch(p.add(64), core::arch::x86_64::_MM_HINT_T0);
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = (buf, at);
-    }
-
-    /// The cone-restricted batch downward sweep: the batch analogue of
-    /// [`downward_cone`](TapeEvaluator::downward_cone). Per-lane
-    /// accumulation sequences stay identical to the scalar cone sweep
-    /// (zero-partial adds are bitwise no-ops, so the lane loops run
-    /// branchless).
-    fn downward_cone_batch(&mut self, tape: &AcTape, cone: &DiffCone, k: usize) {
-        debug_assert_eq!(cone.stamp, tape.stamp, "cone built for a different tape");
-        let n = tape.ops.len();
-        let nb = blocks_for(k);
-        let values = &self.bvalues[..n * nb];
-        if self.bpartials.len() < n * nb {
-            self.bpartials.resize(n * nb, LaneBlock::ZERO);
-        }
-        self.partial_lanes = k;
-        let partials = &mut self.bpartials[..n * nb];
-        for &s in &cone.slots {
-            partials[s as usize * nb..s as usize * nb + nb].fill(LaneBlock::ZERO);
-        }
-        if cone.slots.is_empty() {
-            return;
-        }
-        let root_row = tape.root as usize * nb;
-        // Masked seed (live lanes one, dead remainder lanes zero): dead
-        // partial lanes never turn nonzero through the multiplies below,
-        // so the all-zero row skips fire as they would for a full block.
-        masked_ones_row(&mut partials[root_row..root_row + nb], k);
-        self.bsuffix.clear();
-        self.bsuffix.resize(nb, LaneBlock::ONE);
-        self.bacc.clear();
-        self.bacc.resize(nb, LaneBlock::ONE);
-        let stash = tape.max_and_arity as usize * nb;
-        if self.bprefix.len() < stash {
-            self.bprefix.resize(stash, LaneBlock::ZERO);
-        }
-        let slots = &cone.slots;
-        for idx in (0..slots.len()).rev() {
-            let i = slots[idx] as usize;
-            let row = i * nb;
-            let op = tape.ops[i];
-            // The sweep is latency-bound on the scattered child rows
-            // (a few thousand slots, each touching 2+ rows far apart),
-            // so request the rows of a slot a few iterations ahead while
-            // this one computes. Pure hint: no effect on results.
-            if idx >= 8 {
-                let f = slots[idx - 8] as usize;
-                let fop = tape.ops[f];
-                match fop.kind {
-                    TapeOpKind::And2 | TapeOpKind::Or => {
-                        Self::prefetch_row(values, fop.a as usize * nb);
-                        Self::prefetch_row(values, fop.b as usize * nb);
-                        Self::prefetch_row(partials, fop.a as usize * nb);
-                        Self::prefetch_row(partials, fop.b as usize * nb);
-                        Self::prefetch_row(partials, f * nb);
-                    }
-                    TapeOpKind::And => {
-                        for &c in &tape.edges[fop.a as usize..fop.b as usize] {
-                            Self::prefetch_row(values, c as usize * nb);
-                            if cone.member[c as usize] {
-                                Self::prefetch_row(partials, c as usize * nb);
-                            }
-                        }
-                        Self::prefetch_row(partials, f * nb);
-                    }
-                    _ => {}
-                }
-            }
-            match op.kind {
-                TapeOpKind::And2 => {
-                    // Unrolled two-child form of the generic suffix-stash/pq
-                    // sweep below — the same multiplication sequence per
-                    // lane (child a sees pq = p and suffix C_ONE·vb, child b
-                    // sees pq = p·va and suffix C_ONE), so partials stay
-                    // bit-identical without the per-slot scratch-buffer
-                    // traffic. Children sit at smaller slots than their
-                    // parent, so splitting at the parent row yields
-                    // borrow-disjoint slices and the inner loops carry no
-                    // bounds checks.
-                    let arow = op.a as usize * nb;
-                    let brow = op.b as usize * nb;
-                    let a_in = cone.member[op.a as usize];
-                    let b_in = cone.member[op.b as usize];
-                    if !a_in && !b_in {
-                        continue;
-                    }
-                    // No zero-partial select here: a zero `p` contributes
-                    // an exact-zero product, and accumulators never hold
-                    // -0.0 (they start at +0.0 and IEEE addition yields
-                    // +0.0 on cancellation), so the add is a bitwise
-                    // no-op — and the unconditional block op vectorizes.
-                    let (head, tail) = partials.split_at_mut(row);
-                    let p_row = &tail[..nb];
-                    if a_in {
-                        for bi in 0..nb {
-                            let ov = LaneBlock::one_times(&values[brow + bi]);
-                            head[arow + bi].add_mul(&p_row[bi], &ov);
-                        }
-                    }
-                    if b_in {
-                        for bi in 0..nb {
-                            let pv = p_row[bi].mul(&values[arow + bi]);
-                            head[brow + bi].add_mul(&pv, &LaneBlock::ONE);
-                        }
-                    }
-                }
-                TapeOpKind::And => {
-                    // Same multiplication sequence as the reference sweep,
-                    // restructured for memory behavior. A backward scan
-                    // stashes the running suffix at every child position
-                    // (the one scattered read per child row); a forward
-                    // scan then carries pq = p·(prefix product) in `bacc`
-                    // and pushes `pq · suffix[ci]` — a single multiply per
-                    // member lane — re-reading the child rows while they
-                    // are still cache-hot. One arity×nb stash instead of
-                    // two — the sweep is bandwidth-bound on these.
-                    // Contributions land in `head` (slots below `row`), so
-                    // `p_row` cannot change mid-slot, and the adds are
-                    // branchless like the And2 arm (zero-`p` adds are
-                    // bitwise no-ops).
-                    let (head, tail) = partials.split_at_mut(row);
-                    let p_row = &tail[..nb];
-                    if p_row.iter().all(LaneBlock::all_zero) {
-                        continue;
-                    }
-                    let cs: &[TapeId] = &tape.edges[op.a as usize..op.b as usize];
-                    // The suffix accumulates over every child (the product
-                    // sequence must match the full sweep's); only the adds
-                    // into non-cone children are skipped — they can never
-                    // flow back into a cone slot.
-                    self.bsuffix.fill(LaneBlock::ONE);
-                    for (ci, &c) in cs.iter().enumerate().rev() {
-                        self.bprefix[ci * nb..ci * nb + nb].copy_from_slice(&self.bsuffix);
-                        let child = &values[c as usize * nb..c as usize * nb + nb];
-                        for (s, v) in self.bsuffix.iter_mut().zip(child) {
-                            s.mul_assign(v);
-                        }
-                    }
-                    self.bacc[..nb].copy_from_slice(p_row);
-                    for (ci, &c) in cs.iter().enumerate() {
-                        let crow = c as usize * nb;
-                        if cone.member[c as usize] {
-                            let out = &mut head[crow..crow + nb];
-                            let suf = &self.bprefix[ci * nb..ci * nb + nb];
-                            for ((o, pq), s) in out.iter_mut().zip(self.bacc.iter()).zip(suf) {
-                                o.add_mul(pq, s);
-                            }
-                        }
-                        let child = &values[crow..crow + nb];
-                        for (a, v) in self.bacc.iter_mut().zip(child) {
-                            a.mul_assign(v);
-                        }
-                    }
-                }
-                TapeOpKind::Or => {
-                    let arow = op.a as usize * nb;
-                    let brow = op.b as usize * nb;
-                    let a_in = cone.member[op.a as usize];
-                    let b_in = cone.member[op.b as usize];
-                    if !a_in && !b_in {
-                        continue;
-                    }
-                    // Branchless for the same reason as the And2 arm: a
-                    // zero `p` add is a bitwise no-op on these
-                    // accumulators.
-                    let (head, tail) = partials.split_at_mut(row);
-                    let p_row = &tail[..nb];
-                    if a_in {
-                        for (o, p) in head[arow..arow + nb].iter_mut().zip(p_row) {
-                            o.add_assign(p);
-                        }
-                    }
-                    if b_in {
-                        for (o, p) in head[brow..brow + nb].iter_mut().zip(p_row) {
-                            o.add_assign(p);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
+        self.batch.delta::<_, true>(tape, weights, changed_vars);
+        self.batch.downward(tape, cone, weights.lanes());
     }
 
     /// The root value of lane `lane` from the most recent batched pass.
     #[inline]
     pub fn value_lane(&self, tape: &AcTape, lane: usize) -> Complex {
-        let nb = blocks_for(self.value_lanes);
-        self.bvalues[tape.root as usize * nb + lane / LANE_WIDTH].get(lane % LANE_WIDTH)
+        let nb = blocks_for(self.batch.value_lanes);
+        self.batch.values[tape.root as usize * nb + lane / LANE_WIDTH].get(lane % LANE_WIDTH)
     }
 
     /// `∂f/∂w(lit)` in lane `lane` from the most recent
     /// [`differentials_batch`](TapeEvaluator::differentials_batch) pass.
     #[inline]
     pub fn wrt_lit_lane(&self, tape: &AcTape, lit: Lit, lane: usize) -> Option<Complex> {
-        let nb = blocks_for(self.partial_lanes);
-        tape.lit_slot(lit)
-            .map(|s| self.bpartials[s as usize * nb + lane / LANE_WIDTH].get(lane % LANE_WIDTH))
+        let nb = blocks_for(self.batch.partial_lanes);
+        tape.lit_slot(lit).map(|s| {
+            self.batch.partials[s as usize * nb + lane / LANE_WIDTH].get(lane % LANE_WIDTH)
+        })
     }
 
     /// Gradient contraction over the most recent **scalar** differentials
@@ -1897,12 +1144,9 @@ impl TapeEvaluator {
     /// results are deterministic bit-for-bit.
     #[inline]
     pub fn contract_tangent(&self, plan: &TangentPlan) -> Complex {
-        debug_assert_eq!(self.partial_lanes, 1, "scalar read after batch pass");
-        let mut acc = C_ZERO;
-        for &(slot, t) in &plan.entries {
-            acc += self.partials[slot as usize] * t;
-        }
-        acc
+        let mut acc = [C_ZERO];
+        contract(&self.scalar.partials, plan, &mut acc);
+        acc[0]
     }
 
     /// The `k`-lane analogue of
@@ -1917,24 +1161,22 @@ impl TapeEvaluator {
     /// Panics if `out.len()` differs from the pass's lane count, or the
     /// plan was built for a different lane count.
     pub fn contract_tangent_lanes(&mut self, plan: &TangentPlanBatch, out: &mut [Complex]) {
-        let k = self.partial_lanes;
+        let k = self.batch.partial_lanes;
         assert_eq!(plan.lanes, k, "plan lane count mismatch");
         assert_eq!(out.len(), k, "output lane count mismatch");
         let nb = blocks_for(k);
-        self.bacc.clear();
-        self.bacc.resize(nb, LaneBlock::ZERO);
+        let acc = grown(&mut self.batch.acc, nb);
+        acc.fill(LaneBlock::ZERO);
         for (e, &slot) in plan.slots.iter().enumerate() {
-            let prow = &self.bpartials[slot as usize * nb..slot as usize * nb + nb];
+            let prow = &self.batch.partials[slot as usize * nb..slot as usize * nb + nb];
             let trow = &plan.rows[e * nb..e * nb + nb];
-            for ((o, p), t) in self.bacc.iter_mut().zip(prow).zip(trow) {
+            for ((o, p), t) in acc.iter_mut().zip(prow).zip(trow) {
                 // Per-lane zero-tangent select: a lane's add sequence is
                 // exactly its scalar plan's (which filters zeros out).
                 o.add_mul_where(t, p, t);
             }
         }
-        for (l, o) in out.iter_mut().enumerate() {
-            *o = self.bacc[l / LANE_WIDTH].get(l % LANE_WIDTH);
-        }
+        unpack_row(acc, out);
     }
 
     /// [`contract_tangent`](TapeEvaluator::contract_tangent) against the
@@ -1942,29 +1184,19 @@ impl TapeEvaluator {
     /// every lane — the basis-state-lane gradient loop, where lanes differ
     /// in evidence but share the parameter binding (and therefore the
     /// tangents). Lane `l` of `out` is bit-for-bit the scalar contraction
-    /// over that lane's partials (same plan-order accumulation).
+    /// over that lane's partials (the same kernel, same plan-order
+    /// accumulation).
     ///
     /// # Panics
     ///
     /// Panics if `out.len()` differs from the pass's lane count.
     pub fn contract_tangent_broadcast(&mut self, plan: &TangentPlan, out: &mut [Complex]) {
-        let k = self.partial_lanes;
+        let k = self.batch.partial_lanes;
         assert_eq!(out.len(), k, "output lane count mismatch");
-        let nb = blocks_for(k);
-        self.bacc.clear();
-        self.bacc.resize(nb, LaneBlock::ZERO);
-        for &(slot, t) in &plan.entries {
-            let prow = &self.bpartials[slot as usize * nb..slot as usize * nb + nb];
-            let tb = LaneBlock::splat(t);
-            for (o, p) in self.bacc.iter_mut().zip(prow) {
-                o.add_mul(p, &tb);
-            }
-        }
-        for (l, o) in out.iter_mut().enumerate() {
-            *o = self.bacc[l / LANE_WIDTH].get(l % LANE_WIDTH);
-        }
+        let acc = grown(&mut self.batch.acc, blocks_for(k));
+        contract(&self.batch.partials, plan, acc);
+        unpack_row(acc, out);
     }
-
     /// Magnitude pass for model sampling: fills the persistent magnitude
     /// buffer with the *absolute* value of every slot under `weights` and
     /// returns the root magnitude. The buffer stays valid (for
@@ -2058,67 +1290,442 @@ impl TapeEvaluator {
     }
 }
 
-/// Fills `out` with the masked all-ones row for `k` live lanes: full
-/// blocks all-one, the trailing ragged block one in live lanes and zero in
+/// The tape kernels, written once over the lane type. Every kernel walks
+/// node-major rows of `nb = L::row_len(k)` lane values per slot; the
+/// scalar instance has `nb = 1` at compile time.
+impl<L: Lane> LaneBufs<L> {
+    /// Full upward pass under `weights`, leaving every slot's value row in
+    /// `values` and flagging the rows for delta reuse. `FULL` selects full
+    /// AND products (the differential passes) over the zero
+    /// short-circuit ([`TapeEvaluator::evaluate`]).
+    fn upward<W: LaneWeights<L>, const FULL: bool>(&mut self, tape: &AcTape, weights: &W) {
+        tape.check_weights(weights.num_slots());
+        let k = weights.lanes();
+        let nb = L::row_len(k);
+        let n = tape.ops.len();
+        let values = grown(&mut self.values, n * nb);
+        for i in 0..n {
+            // Children precede parents, so every child row sits in `head`.
+            let (head, tail) = values.split_at_mut(i * nb);
+            node_row::<L, W, FULL>(tape, tape.ops[i], weights, head, &mut tail[..nb], nb);
+        }
+        self.mode = ValuesMode::of(FULL);
+        self.stamp = tape.stamp;
+        self.value_lanes = k;
+    }
+
+    /// [`upward`](LaneBufs::upward) when only the weights of
+    /// `changed_vars` differ (in any lane) from the previous upward pass:
+    /// recomputes the dirty cone above the changed literals, propagating
+    /// only past rows whose bits actually changed in some lane. Falls back
+    /// to the full pass when the cached rows were produced by another
+    /// mode, tape or lane count.
+    ///
+    /// The worklist is a flag scan, not a priority queue: dirty flags are
+    /// seeded at the changed literals, and one ascending sweep from the
+    /// lowest dirty slot processes them — children precede parents, so
+    /// every dirty slot sees fully updated children, and a pending counter
+    /// stops the sweep as soon as propagation dies out. A clean slot
+    /// costs one flag test; a dirty one, one row recompute. Dead remainder
+    /// lanes are deterministic functions of the zero-filled weights, so
+    /// the whole-row bitwise comparison stays sound for ragged batches.
+    fn delta<W: LaneWeights<L>, const FULL: bool>(
+        &mut self,
+        tape: &AcTape,
+        weights: &W,
+        changed_vars: &[u32],
+    ) {
+        let k = weights.lanes();
+        if self.mode != ValuesMode::of(FULL) || self.stamp != tape.stamp || self.value_lanes != k {
+            return self.upward::<W, FULL>(tape, weights);
+        }
+        tape.check_weights(weights.num_slots());
+        let nb = L::row_len(k);
+        let n = tape.ops.len();
+        if self.queued.len() < n {
+            self.queued.resize(n, false);
+        }
+        let queued = &mut self.queued;
+        let values = &mut self.values;
+        let new = grown(&mut self.acc, nb);
+        let mut pending = 0usize;
+        let mut cursor = n;
+        for &v in changed_vars {
+            for lit in [v as Lit, -(v as Lit)] {
+                if let Some(slot) = tape.lit_slot(lit) {
+                    if !queued[slot as usize] {
+                        queued[slot as usize] = true;
+                        pending += 1;
+                        cursor = cursor.min(slot as usize);
+                    }
+                }
+            }
+        }
+        while pending > 0 {
+            if !queued[cursor] {
+                cursor += 1;
+                continue;
+            }
+            queued[cursor] = false;
+            pending -= 1;
+            node_row::<L, W, FULL>(tape, tape.ops[cursor], weights, values, new, nb);
+            let old = &mut values[cursor * nb..cursor * nb + nb];
+            if new.iter().zip(old.iter()).any(|(x, y)| x.bits_ne(y)) {
+                old.copy_from_slice(new);
+                for &p in tape.parents_of(cursor as TapeId) {
+                    if !queued[p as usize] {
+                        queued[p as usize] = true;
+                        pending += 1;
+                    }
+                }
+            }
+            cursor += 1;
+        }
+    }
+
+    /// The downward (partial-derivative) sweep over the current
+    /// full-product `values` rows, restricted to `region`: the whole tape,
+    /// or a [`DiffCone`]. Every parent of a cone slot is itself a cone
+    /// slot (the cone is an ancestor closure), so each visited slot
+    /// receives exactly the contributions the full sweep gives it — same
+    /// descending order, same zero-partial skip, same per-node
+    /// multiplication sequence (the reference prefix/suffix recipe,
+    /// including its multiplications by exact one) — and its partial is
+    /// bit-for-bit the full sweep's.
+    ///
+    /// A slot whose whole partial row is zero is skipped (the reference's
+    /// zero-partial skip). Inside a live row the lane ops run
+    /// unconditionally: a zero-partial lane adds an exact-zero product,
+    /// which leaves its accumulator's bits unchanged — accumulators start
+    /// at +0.0 and IEEE addition never turns them into -0.0 — so each
+    /// lane's partials are its scalar ones, and the block ops need no
+    /// select.
+    fn downward<R: Region>(&mut self, tape: &AcTape, region: &R, k: usize) {
+        debug_assert!(region.fits(tape), "cone built for a different tape");
+        let nb = L::row_len(k);
+        let n = tape.ops.len();
+        let values = &self.values[..n * nb];
+        let partials = grown(&mut self.partials, n * nb);
+        self.partial_lanes = k;
+        let slots = region.len();
+        region.clear(partials, nb);
+        if slots == 0 {
+            return;
+        }
+        let root = tape.root as usize * nb;
+        // Masked seed (live lanes one, dead remainder lanes zero): dead
+        // partial lanes never turn nonzero, so the all-zero row skips fire
+        // as they would for a full block.
+        masked_ones(&mut partials[root..root + nb], k);
+        let stash = grown(&mut self.stash, tape.max_and_arity as usize);
+        for idx in (0..slots).rev() {
+            let i = region.slot(idx);
+            // The lane-blocked sweep is latency-bound on scattered child
+            // rows, so request the rows of a slot a few iterations ahead
+            // while this one computes. Pure hint: no effect on results.
+            if L::WIDTH > 1 && idx >= PREFETCH_AHEAD {
+                prefetch_step(
+                    tape,
+                    region,
+                    region.slot(idx - PREFETCH_AHEAD),
+                    values,
+                    partials,
+                    nb,
+                );
+            }
+            // Contributions land in `head` (children sit below their
+            // parent), so the slot's own row cannot change mid-slot.
+            let (head, tail) = partials.split_at_mut(i * nb);
+            let p = &tail[..nb];
+            if p.iter().all(L::all_zero) {
+                continue;
+            }
+            let op = tape.ops[i];
+            match op.kind {
+                TapeOpKind::And2 => {
+                    // The suffix-stash/pq recipe unrolled for two
+                    // children: child a sees pq = p and suffix 1·v_b,
+                    // child b sees pq = p·v_a and suffix 1.
+                    let (a, b) = (op.a as usize * nb, op.b as usize * nb);
+                    if region.keeps(op.a) {
+                        for bi in 0..nb {
+                            head[a + bi].add_mul(&p[bi], &L::one_times(&values[b + bi]));
+                        }
+                    }
+                    if region.keeps(op.b) {
+                        for bi in 0..nb {
+                            head[b + bi].add_mul(&p[bi].mul(&values[a + bi]), &L::ONE);
+                        }
+                    }
+                }
+                TapeOpKind::And => {
+                    // Per lane value: stash the suffix Π_{j>c} v_j from the
+                    // right; the forward scan then carries pq = p·Π_{j<c}
+                    // v_j so each child's contribution pq·suffix[c] costs a
+                    // single multiply (exact with zero children — no
+                    // divisions). The products run over every child; only
+                    // the adds into children outside the region are
+                    // skipped — they can never flow back into a region
+                    // slot.
+                    let cs = &tape.edges[op.a as usize..op.b as usize];
+                    for (bi, p) in p.iter().enumerate() {
+                        let mut suffix = L::ONE;
+                        for (s, &c) in stash.iter_mut().zip(cs).rev() {
+                            *s = suffix;
+                            suffix.mul_assign(&values[c as usize * nb + bi]);
+                        }
+                        let mut pq = *p;
+                        for (s, &c) in stash.iter().zip(cs) {
+                            let cr = c as usize * nb + bi;
+                            if region.keeps(c) {
+                                head[cr].add_mul(&pq, s);
+                            }
+                            pq.mul_assign(&values[cr]);
+                        }
+                    }
+                }
+                TapeOpKind::Or => {
+                    for c in [op.a, op.b] {
+                        if region.keeps(c) {
+                            let cr = c as usize * nb;
+                            for (o, pp) in head[cr..cr + nb].iter_mut().zip(p) {
+                                o.add_assign(pp);
+                            }
+                        }
+                    }
+                }
+                TapeOpKind::Const | TapeOpKind::Lit => {}
+            }
+        }
+    }
+}
+
+/// Computes slot row `out` of instruction `op` from the child rows in
+/// `values` — the one per-instruction recipe the full and delta upward
+/// passes share. `FULL` selects full AND products; otherwise each lane
+/// short-circuits at zero (a select) and a general AND stops once every
+/// lane is dead, which at width 1 is exactly the reference's branch.
+#[inline(always)]
+fn node_row<L: Lane, W: LaneWeights<L>, const FULL: bool>(
+    tape: &AcTape,
+    op: TapeOp,
+    weights: &W,
+    values: &[L],
+    out: &mut [L],
+    nb: usize,
+) {
+    let row = |s: TapeId| &values[s as usize * nb..s as usize * nb + nb];
+    let mul = |acc: &mut L, v: &L| {
+        if FULL {
+            acc.mul_assign(v);
+        } else {
+            acc.mul_assign_sc(v);
+        }
+    };
+    match op.kind {
+        TapeOpKind::Const => out.fill(L::splat(tape.consts[op.a as usize])),
+        TapeOpKind::Lit => out.copy_from_slice(weights.row(op.a)),
+        TapeOpKind::And2 => {
+            // The reference loop unrolled for two children: acc = 1·v₀,
+            // then acc·v₁.
+            for (o, (x, y)) in out.iter_mut().zip(row(op.a).iter().zip(row(op.b))) {
+                let mut acc = L::one_times(x);
+                mul(&mut acc, y);
+                *o = acc;
+            }
+        }
+        TapeOpKind::And => {
+            out.fill(L::ONE);
+            for &c in &tape.edges[op.a as usize..op.b as usize] {
+                if !FULL && out.iter().all(L::all_zero) {
+                    break;
+                }
+                for (acc, v) in out.iter_mut().zip(row(c)) {
+                    mul(acc, v);
+                }
+            }
+        }
+        TapeOpKind::Or => {
+            for (acc, (x, y)) in out.iter_mut().zip(row(op.a).iter().zip(row(op.b))) {
+                acc.add_of(x, y);
+            }
+        }
+    }
+}
+
+/// `acc = Σ_plan partials[slot] · t` per lane, in plan order: the one-pass
+/// gradient contraction over the partial rows of the last differential
+/// pass (`nb = acc.len()`).
+#[inline(always)]
+fn contract<L: Lane>(partials: &[L], plan: &TangentPlan, acc: &mut [L]) {
+    let nb = acc.len();
+    acc.fill(L::ZERO);
+    for &(slot, t) in &plan.entries {
+        let t = L::splat(t);
+        let row = &partials[slot as usize * nb..slot as usize * nb + nb];
+        for (o, p) in acc.iter_mut().zip(row) {
+            o.add_mul(p, &t);
+        }
+    }
+}
+
+/// Grows `buf` to at least `len` values without re-zeroing live ones
+/// (callers overwrite what they read) and returns its first `len`.
+#[inline]
+fn grown<L: Lane>(buf: &mut Vec<L>, len: usize) -> &mut [L] {
+    if buf.len() < len {
+        buf.resize(len, L::ZERO);
+    }
+    &mut buf[..len]
+}
+
+/// Fills `row` with the masked all-ones row for `k` live lanes: full
+/// values all-one, a ragged trailing block one in live lanes and zero in
 /// dead remainder lanes.
 #[inline]
-fn masked_ones_row(out: &mut [LaneBlock], k: usize) {
-    out.fill(LaneBlock::ONE);
-    let rem = k % LANE_WIDTH;
+fn masked_ones<L: Lane>(row: &mut [L], k: usize) {
+    row.fill(L::ONE);
+    let rem = k % L::WIDTH;
     if rem != 0 {
-        let last = out.last_mut().expect("k > 0 implies at least one block");
-        for w in rem..LANE_WIDTH {
+        let last = row.last_mut().expect("k > 0 implies at least one block");
+        for w in rem..L::WIDTH {
             last.set(w, C_ZERO);
         }
     }
 }
 
-/// The batched upward value pass over lane blocks: one fixed-width
-/// split-plane loop per block serves every lane count, ragged batches
-/// riding the masked remainder block (mirrors the enum batch kernel).
+/// The slots a downward sweep visits, as a compile-time parameter of the
+/// one downward kernel: the whole tape, or a [`DiffCone`].
+trait Region {
+    /// Number of slots visited.
+    fn len(&self) -> usize;
+    /// The `idx`-th visited slot, ascending in tape order.
+    fn slot(&self, idx: usize) -> usize;
+    /// Whether contributions into child `slot` are kept.
+    fn keeps(&self, slot: TapeId) -> bool;
+    /// Whether the region was built for `tape`.
+    fn fits(&self, tape: &AcTape) -> bool;
+    /// Zeroes the partial rows of the visited slots.
+    fn clear<L: Lane>(&self, partials: &mut [L], nb: usize) {
+        for idx in 0..self.len() {
+            let s = self.slot(idx) * nb;
+            partials[s..s + nb].fill(L::ZERO);
+        }
+    }
+}
+
+/// Every slot of a tape with this many instructions. Its membership test
+/// is the constant `true`, so the full sweep pays no per-child check.
+struct WholeTape(usize);
+
+impl Region for WholeTape {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.0
+    }
+
+    #[inline(always)]
+    fn slot(&self, idx: usize) -> usize {
+        idx
+    }
+
+    #[inline(always)]
+    fn keeps(&self, _slot: TapeId) -> bool {
+        true
+    }
+
+    fn fits(&self, tape: &AcTape) -> bool {
+        self.0 == tape.ops.len()
+    }
+
+    fn clear<L: Lane>(&self, partials: &mut [L], _nb: usize) {
+        partials.fill(L::ZERO);
+    }
+}
+
+impl Region for DiffCone {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    #[inline(always)]
+    fn slot(&self, idx: usize) -> usize {
+        self.slots[idx] as usize
+    }
+
+    #[inline(always)]
+    fn keeps(&self, slot: TapeId) -> bool {
+        self.member[slot as usize]
+    }
+
+    fn fits(&self, tape: &AcTape) -> bool {
+        self.stamp == tape.stamp
+    }
+}
+
+/// How many visited slots ahead the lane-blocked downward sweep
+/// prefetches.
+const PREFETCH_AHEAD: usize = 8;
+
+/// Prefetches the rows the downward sweep's step at slot `f` will touch.
 #[inline(always)]
-fn batch_upward(tape: &AcTape, weights: &AcWeightsBatch, values: &mut [LaneBlock], nb: usize) {
-    for (i, op) in tape.ops.iter().enumerate() {
-        let row = i * nb;
-        // Children precede parents, so every child row sits in `head`.
-        let (head, tail) = values.split_at_mut(row);
-        let out = &mut tail[..nb];
-        match op.kind {
-            TapeOpKind::Const => out.fill(LaneBlock::splat(tape.consts[op.a as usize])),
-            TapeOpKind::Lit => out.copy_from_slice(weights.row_blocks_by_slot(op.a)),
-            TapeOpKind::And2 => {
-                // The two-child product with the reference's short-circuit
-                // sequence, as a select per lane.
-                let arow = &head[op.a as usize * nb..op.a as usize * nb + nb];
-                let brow = &head[op.b as usize * nb..op.b as usize * nb + nb];
-                for (acc, (x, y)) in out.iter_mut().zip(arow.iter().zip(brow)) {
-                    *acc = LaneBlock::one_times(x);
-                    acc.mul_assign_sc(y);
-                }
-            }
-            TapeOpKind::And => {
-                out.fill(LaneBlock::ONE);
-                for &c in &tape.edges[op.a as usize..op.b as usize] {
-                    // Per-lane zero short-circuit + whole-AND break once
-                    // every lane is dead, exactly as the enum batch kernel.
-                    if out.iter().all(LaneBlock::all_zero) {
-                        break;
-                    }
-                    let child = &head[c as usize * nb..c as usize * nb + nb];
-                    for (acc, v) in out.iter_mut().zip(child) {
-                        acc.mul_assign_sc(v);
-                    }
-                }
-            }
-            TapeOpKind::Or => {
-                let a = &head[op.a as usize * nb..op.a as usize * nb + nb];
-                let b = &head[op.b as usize * nb..op.b as usize * nb + nb];
-                for (acc, (x, y)) in out.iter_mut().zip(a.iter().zip(b)) {
-                    acc.add_of(x, y);
+fn prefetch_step<L, R: Region>(
+    tape: &AcTape,
+    region: &R,
+    f: usize,
+    values: &[L],
+    partials: &[L],
+    nb: usize,
+) {
+    let op = tape.ops[f];
+    match op.kind {
+        TapeOpKind::And2 | TapeOpKind::Or => {
+            prefetch_row(values, op.a as usize * nb);
+            prefetch_row(values, op.b as usize * nb);
+            prefetch_row(partials, op.a as usize * nb);
+            prefetch_row(partials, op.b as usize * nb);
+        }
+        TapeOpKind::And => {
+            for &c in &tape.edges[op.a as usize..op.b as usize] {
+                prefetch_row(values, c as usize * nb);
+                if region.keeps(c) {
+                    prefetch_row(partials, c as usize * nb);
                 }
             }
         }
+        TapeOpKind::Const | TapeOpKind::Lit => return,
     }
+    prefetch_row(partials, f * nb);
+}
+
+/// Hints the CPU to start pulling the row starting at `buf[at]`. Touches
+/// only the first value (two cache lines of a [`LaneBlock`]); the in-row
+/// access pattern is sequential, so the hardware stream prefetcher covers
+/// any further blocks. Requesting every line of every row of a wide
+/// product node floods the load queue and evicts live data — measurably
+/// slower than under-prefetching. No-op off x86_64.
+#[inline(always)]
+// Audited exception to the workspace `unsafe_code` deny: a pure cache
+// hint, no architectural reads or writes.
+#[allow(unsafe_code)]
+fn prefetch_row<L>(buf: &[L], at: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(first) = buf.get(at) {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let p = (first as *const L).cast::<i8>();
+        // SAFETY: prefetch reads nothing architecturally and has no side
+        // effects beyond the cache, whatever address it is handed; the
+        // second line's address is formed with wrapping arithmetic.
+        unsafe {
+            _mm_prefetch(p, _MM_HINT_T0);
+            if std::mem::size_of::<L>() > 64 {
+                _mm_prefetch(p.wrapping_add(64), _MM_HINT_T0);
+            }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (buf, at);
 }
 
 /// An owned snapshot of a scalar differentials pass (value + per-slot
@@ -2458,52 +2065,189 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_matches_enum_batch_bit_for_bit() {
-        let nnf = test_nnf();
-        let tape = AcTape::lower(&nnf);
-        let mut eval = TapeEvaluator::new();
-        let mut rng = StdRng::seed_from_u64(29);
-        // Ragged widths around the block boundary exercise the masked
-        // remainder block alongside the full-block fast path.
-        for k in [
-            1usize,
-            4,
-            LANE_WIDTH - 1,
-            LANE_WIDTH,
-            LANE_WIDTH + 1,
-            16,
-            2 * LANE_WIDTH + 3,
-        ] {
-            let lane_weights: Vec<AcWeights> =
-                (0..k).map(|_| random_weights(3, &mut rng)).collect();
-            let mut batch = AcWeightsBatch::uniform(3, k);
-            for (lane, w) in lane_weights.iter().enumerate() {
-                for v in 1..=3u32 {
-                    batch.set_lane(v, lane, w.get(v as i32), w.get(-(v as i32)));
+    /// A smoothed random circuit over `vars` variables: general ANDs,
+    /// binary ANDs and ORs all appear.
+    fn random_nnf(vars: usize, seed: u64) -> Nnf {
+        let compiled = compile(
+            &random_cnf(vars, vars + 3, seed),
+            &CompileOptions::default(),
+        );
+        let groups: Vec<Vec<i32>> = (1..=vars as i32).map(|v| vec![v, -v]).collect();
+        smooth(&compiled.nnf, &groups)
+    }
+
+    /// Per-lane weights with the degenerate lanes the kernels must keep
+    /// exact: lane 1 has every weight zero (a dead lane), lane 2 carries
+    /// 0/1 evidence (zero partials and AND short-circuits).
+    fn lane_weights(vars: usize, k: usize, rng: &mut StdRng) -> Vec<AcWeights> {
+        (0..k)
+            .map(|lane| match lane {
+                1 => AcWeights::zeros(vars),
+                2 => {
+                    let mut w = random_weights(vars, rng);
+                    for v in (1..=vars as u32).step_by(2) {
+                        w.set(v, C_ZERO, C_ONE);
+                    }
+                    w
                 }
+                _ => random_weights(vars, rng),
+            })
+            .collect()
+    }
+
+    fn batch_of(lanes: &[AcWeights]) -> AcWeightsBatch {
+        let vars = lanes[0].num_vars();
+        let mut batch = AcWeightsBatch::uniform(vars, lanes.len());
+        for (lane, w) in lanes.iter().enumerate() {
+            for v in 1..=vars as u32 {
+                batch.set_lane(v, lane, w.get(v as Lit), w.get(-(v as Lit)));
             }
-            let want = crate::evaluate_batch(&nnf, &batch);
-            let got = eval.evaluate_batch(&tape, &batch).to_vec();
-            for (lane, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                assert!(bits_eq(g, w), "k={k} lane {lane}");
-            }
-            let reference = crate::evaluate_with_differentials_batch(&nnf, &batch);
-            eval.differentials_batch(&tape, &batch);
-            for lane in 0..k {
-                assert!(bits_eq(eval.value_lane(&tape, lane), reference.value(lane)));
-                for v in 1..=3i32 {
-                    for lit in [v, -v] {
+        }
+        batch
+    }
+
+    fn bits(c: Option<Complex>) -> Option<(u64, u64)> {
+        c.map(|c| (c.re.to_bits(), c.im.to_bits()))
+    }
+
+    #[test]
+    fn batch_kernels_match_scalar_enum_walk_bit_for_bit() {
+        // Every batched kernel — upward, delta, full downward, cone
+        // downward, broadcast contraction — against the per-lane scalar
+        // enum walk, at ragged widths around the block boundary.
+        let vars = 6;
+        for seed in 0..4u64 {
+            let nnf = random_nnf(vars, seed);
+            let tape = AcTape::lower(&nnf);
+            let mut rng = StdRng::seed_from_u64(29 ^ seed);
+            let plan = TangentPlan::new(&tape, &random_tangents(vars, &mut rng));
+            let cone = DiffCone::new(&tape, plan.slots());
+            let mut eval = TapeEvaluator::new();
+            for k in [
+                1usize,
+                LANE_WIDTH - 1,
+                LANE_WIDTH,
+                LANE_WIDTH + 1,
+                2 * LANE_WIDTH + 3,
+            ] {
+                let mut lanes = lane_weights(vars, k, &mut rng);
+                let batch = batch_of(&lanes);
+                let got = eval.evaluate_batch(&tape, &batch).to_vec();
+                for (lane, w) in lanes.iter().enumerate() {
+                    assert!(bits_eq(got[lane], evaluate(&nnf, w)), "k={k} lane {lane}");
+                }
+                eval.differentials_batch(&tape, &batch);
+                for (lane, w) in lanes.iter().enumerate() {
+                    let want = evaluate_with_differentials(&nnf, w);
+                    assert!(bits_eq(eval.value_lane(&tape, lane), want.value));
+                    for lit in (1..=vars as Lit).flat_map(|v| [v, -v]) {
                         assert_eq!(
-                            eval.wrt_lit_lane(&tape, lit, lane)
-                                .map(|c| (c.re.to_bits(), c.im.to_bits())),
-                            reference
-                                .wrt_lit(lit, lane)
-                                .map(|c| (c.re.to_bits(), c.im.to_bits())),
+                            bits(eval.wrt_lit_lane(&tape, lit, lane)),
+                            bits(want.wrt_lit(lit)),
                             "k={k} lane {lane} lit {lit}"
                         );
                     }
                 }
+                let mut contracted = vec![C_ZERO; k];
+                eval.differentials_cone_batch(&tape, &batch, &cone);
+                eval.contract_tangent_broadcast(&plan, &mut contracted);
+                let mut scalar = TapeEvaluator::new();
+                for (lane, w) in lanes.iter().enumerate() {
+                    scalar.differentials(&tape, w);
+                    assert!(
+                        bits_eq(contracted[lane], scalar.contract_tangent(&plan)),
+                        "k={k} lane {lane} cone contraction"
+                    );
+                }
+                // One variable changes in the last lane only (the last
+                // block for k > W): the delta kernel must propagate on
+                // that lane's bits alone and land on the scalar values of
+                // the new weights.
+                let v = 1 + (k % vars) as u32;
+                let mut moved = batch.clone();
+                let pos = Complex::new(rng.gen::<f64>() - 0.5, 0.0);
+                lanes[k - 1].set(v, pos, C_ZERO);
+                moved.set_lane(v, k - 1, pos, C_ZERO);
+                eval.evaluate_batch(&tape, &batch);
+                let got = eval.evaluate_batch_delta(&tape, &moved, &[v]).to_vec();
+                for (lane, w) in lanes.iter().enumerate() {
+                    assert!(
+                        bits_eq(got[lane], evaluate(&nnf, w)),
+                        "k={k} lane {lane} delta"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_scalar_and_batch_passes_keep_fresh_bits() {
+        // Scalar and batched passes share one evaluator; each result must
+        // equal the bits a fresh evaluator produces for the same call.
+        let vars = 6;
+        let nnf = random_nnf(vars, 7);
+        let tape = AcTape::lower(&nnf);
+        let mut rng = StdRng::seed_from_u64(71);
+        let plan = TangentPlan::new(&tape, &random_tangents(vars, &mut rng));
+        let cone = DiffCone::new(&tape, plan.slots());
+        let k = LANE_WIDTH + 3;
+        let mut w = random_weights(vars, &mut rng);
+        let mut batch = batch_of(&lane_weights(vars, k, &mut rng));
+        let mut eval = TapeEvaluator::new();
+        let mut out = vec![C_ZERO; k];
+        let mut fresh_out = vec![C_ZERO; k];
+        for step in 0..12u32 {
+            let v = 1 + step % vars as u32;
+            w.set(v, Complex::new(rng.gen::<f64>(), 0.0), C_ONE);
+            batch.set_all(v, C_ONE, Complex::new(0.0, rng.gen::<f64>()));
+            let mut fresh = TapeEvaluator::new();
+            assert!(bits_eq(
+                eval.evaluate_delta(&tape, &w, &[v]),
+                fresh.evaluate(&tape, &w)
+            ));
+            let got = eval.evaluate_batch_delta(&tape, &batch, &[v]).to_vec();
+            let want = fresh.evaluate_batch(&tape, &batch).to_vec();
+            assert!(
+                got.iter().zip(&want).all(|(&g, &w)| bits_eq(g, w)),
+                "step {step}"
+            );
+            assert!(bits_eq(
+                eval.differentials_delta(&tape, &w, &[v]),
+                fresh.differentials(&tape, &w)
+            ));
+            for lit in (1..=vars as Lit).flat_map(|v| [v, -v]) {
+                assert_eq!(
+                    bits(eval.wrt_lit(&tape, lit)),
+                    bits(fresh.wrt_lit(&tape, lit))
+                );
+            }
+            eval.differentials_cone_batch_delta(&tape, &batch, &[v], &cone);
+            fresh.differentials_cone_batch(&tape, &batch, &cone);
+            eval.contract_tangent_broadcast(&plan, &mut out);
+            fresh.contract_tangent_broadcast(&plan, &mut fresh_out);
+            assert!(out.iter().zip(&fresh_out).all(|(&g, &w)| bits_eq(g, w)));
+            // The scalar partials survived the batched passes.
+            let mut fresh = TapeEvaluator::new();
+            fresh.differentials(&tape, &w);
+            assert!(bits_eq(
+                eval.contract_tangent(&plan),
+                fresh.contract_tangent(&plan)
+            ));
+            assert!(bits_eq(
+                eval.differentials_cone_delta(&tape, &w, &[v], &cone),
+                fresh.differentials_cone(&tape, &w, &cone)
+            ));
+            assert!(bits_eq(
+                eval.contract_tangent(&plan),
+                fresh.contract_tangent(&plan)
+            ));
+            eval.differentials_batch(&tape, &batch);
+            fresh.differentials_batch(&tape, &batch);
+            for lane in 0..k {
+                assert!(bits_eq(
+                    eval.value_lane(&tape, lane),
+                    fresh.value_lane(&tape, lane)
+                ));
             }
         }
     }
@@ -2724,7 +2468,7 @@ mod tests {
         for (lane, (&g, &w)) in got.iter().zip(&want).enumerate() {
             assert!(bits_eq(g, w), "lane {lane}");
         }
-        // Scalar passes also invalidate the batch buffer.
+        // A scalar pass in between leaves the batch rows intact.
         let w = random_weights(3, &mut rng);
         eval.evaluate(&tape, &w);
         let got = eval.evaluate_batch_delta(&tape, &batch2, &[]).to_vec();
@@ -2752,11 +2496,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(47);
         let mut w = random_weights(3, &mut rng);
         eval.evaluate(&tape, &w);
-        // A batch pass overwrites `values` with lane-strided data...
+        // A batch pass in between runs on the batch rows; the scalar delta
+        // must still land on the full-pass bits.
         let batch = AcWeightsBatch::uniform(3, 4);
         eval.evaluate_batch(&tape, &batch);
-        // ...so a subsequent delta must fall back to a full pass rather
-        // than extend garbage.
         w.set(1, C_ZERO, C_ONE);
         let got = eval.evaluate_delta(&tape, &w, &[1]);
         assert!(bits_eq(got, evaluate(&nnf, &w)));

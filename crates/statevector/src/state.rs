@@ -178,7 +178,7 @@ impl StateVector {
         }
         let chunk = groups.div_ceil(threads);
         let amps_ptr = SendPtr(self.amps.as_mut_ptr());
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..threads {
                 let g0 = t * chunk;
                 let g1 = ((t + 1) * chunk).min(groups);
@@ -186,7 +186,7 @@ impl StateVector {
                     break;
                 }
                 let ptr = amps_ptr;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     // SAFETY: each group `g` touches only indices in
                     // [g << (p+1), (g+1) << (p+1)), and group ranges are
                     // disjoint across threads.
@@ -194,8 +194,7 @@ impl StateVector {
                     work(amps, g0, g1);
                 });
             }
-        })
-        .expect("state-vector worker thread panicked");
+        });
     }
 
     /// General k-qubit kernel: gather 2^k amplitudes, multiply, scatter.
@@ -255,7 +254,7 @@ impl StateVector {
         }
         let chunk = outer.div_ceil(threads);
         let amps_ptr = SendPtr(self.amps.as_mut_ptr());
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..threads {
                 let c0 = t * chunk;
                 let c1 = ((t + 1) * chunk).min(outer);
@@ -263,15 +262,14 @@ impl StateVector {
                     break;
                 }
                 let ptr = amps_ptr;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     // SAFETY: distinct compressed indices expand to disjoint
                     // amplitude groups.
                     let amps = unsafe { std::slice::from_raw_parts_mut(ptr.get(), dim) };
                     work(amps, c0, c1);
                 });
             }
-        })
-        .expect("state-vector worker thread panicked");
+        });
     }
 
     /// Applies a diagonal operator given by its `2^k` diagonal entries.
@@ -342,9 +340,9 @@ impl StateVector {
 #[derive(Clone, Copy)]
 struct SendPtr(*mut Complex);
 // SAFETY (and the audited exception to the workspace `unsafe_code`
-// deny): the pointer is only dereferenced inside `crossbeam::scope`,
-// where the buffer outlives every worker and workers write disjoint
-// index ranges.
+// deny): the pointer is only dereferenced inside `std::thread::scope`,
+// which joins every worker before the buffer's borrow ends, and workers
+// write disjoint index ranges.
 #[allow(unsafe_code)]
 const _: () = {
     unsafe impl Send for SendPtr {}

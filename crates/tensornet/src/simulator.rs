@@ -90,7 +90,7 @@ impl TensorNetworkSimulator {
         let chunk = shots.div_ceil(self.threads);
         let seeds: Vec<u64> = (0..self.threads).map(|_| rng.gen()).collect();
         let mut all = Vec::with_capacity(shots);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (t, &seed) in seeds.iter().enumerate() {
                 let lo = t * chunk;
@@ -100,7 +100,7 @@ impl TensorNetworkSimulator {
                 }
                 let tn_ref = &tn;
                 let this = &*self;
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let mut local_rng = StdRng::seed_from_u64(seed);
                     (lo..hi)
                         .map(|_| this.sample_once(tn_ref, &mut local_rng))
@@ -110,8 +110,7 @@ impl TensorNetworkSimulator {
             for h in handles {
                 all.extend(h.join().expect("sampler thread panicked"));
             }
-        })
-        .expect("scoped thread panicked");
+        });
         Ok(all)
     }
 }

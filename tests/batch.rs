@@ -275,8 +275,8 @@ fn evaluate_batch_delta_gates_on_cached_buffer_validity() {
         let full = bits(eval.evaluate_batch_delta(&tape, &w, &[]));
         let fresh = bits(TapeEvaluator::new().evaluate_batch(&tape, &w));
         assert_eq!(full, fresh, "k={k}: stale lane count not re-gated");
-        // A scalar kernel pass overwrites the mode tag; the next delta
-        // call must not trust the now-foreign buffer.
+        // A scalar kernel pass in between runs on its own buffers; the
+        // next delta call must still match the fresh full pass.
         let mut sw = AcWeights::uniform(3);
         sw.set(1, Complex::real(0.25), C_ONE);
         let _ = eval.evaluate(&tape, &sw);
