@@ -1,5 +1,6 @@
-//! Arithmetic-circuit kernel throughput: flat-tape vs enum-walk, for every
-//! kernel the stack runs — the perf contract of the `AcTape` lowering.
+//! Arithmetic-circuit kernel throughput: the flat tape against the scalar
+//! enum-walk reference over the smoothed d-DNNF it was lowered from — the
+//! perf contract of the `AcTape` lowering.
 //!
 //! Per circuit size (QAOA p=1, 3-regular):
 //! * `amp/s` — scalar upward passes per second *as the stack issues them*:
@@ -8,6 +9,9 @@
 //!   differ in a few evidence variables and the tape's delta kernel
 //!   recomputes only the dirty cone). Enum walk vs tape (`t`-prefixed
 //!   column), `ax` their ratio.
+//! * `fux` — the same ratio for raw full-recompute upward passes, where the
+//!   two representations are arithmetic-bound and close to parity: the
+//!   flat tape wins by *keeping state*, not by re-walking faster.
 //! * `updown/s` — combined upward+downward differential passes (the Gibbs
 //!   transition kernel) with fully changing weights — the tape's
 //!   no-allocation, no-HashMap full pass vs the enum walk; `udx` the
@@ -20,16 +24,14 @@
 //!   layout, so `bx` (gated ≥ 1.5× at the default sizes) compares delta
 //!   against full pass, like with like. The last binding is also checked
 //!   lane by lane against the scalar enum walk.
-//! * `gibbs/s` — full Gibbs transitions per second on a live sampler,
-//!   enum-walk kernel vs tape kernel (delta cone per accepted move, free
-//!   re-use on held moves), and `gx` the ratio.
+//! * `tg/s` — Gibbs transitions per second on a live tape sampler (delta
+//!   cone per accepted move, free re-use on held moves). Its chains are
+//!   checked against the enum-walk reference chain by the sampler's unit
+//!   tests and `tests/gibbs_identity.rs`, not here.
 //!
 //! Every measured pair is also checked bit-for-bit: the tape result must
 //! equal the reference result exactly (the determinism contract lowering
-//! preserves). The JSON datapoint additionally records the raw
-//! full-recompute upward pass (`*_full_upward_per_sec`), where the two
-//! representations are arithmetic-bound and close to parity — the flat
-//! tape wins by *keeping state*, not by re-walking faster.
+//! preserves).
 //!
 //! Appends one machine-readable datapoint to `BENCH_kernels.json`
 //! (override the path with `QKC_BENCH_KERNELS_JSON`). The default quick
@@ -70,7 +72,6 @@ struct Row {
     tape_updown_per_sec: f64,
     full_batch_per_sec: f64,
     tape_batch_per_sec: f64,
-    enum_gibbs_per_sec: f64,
     tape_gibbs_per_sec: f64,
 }
 
@@ -124,16 +125,16 @@ fn main() {
     let mut table = ResultTable::new(
         format!("AC kernel throughput: enum walk vs flat tape (batch k={BATCH_K}: full vs delta)"),
         &[
-            "qubits", "nodes", "tapeB", "amp/s", "tamp/s", "ax", "updown/s", "tud/s", "udx",
-            "batch/s", "tb/s", "bx", "gibbs/s", "tg/s", "gx",
+            "qubits", "nodes", "tapeB", "amp/s", "tamp/s", "ax", "fux", "updown/s", "tud/s", "udx",
+            "batch/s", "tb/s", "bx", "tg/s",
         ],
     );
     let mut rows: Vec<Row> = Vec::new();
 
     for &n in &sizes {
         let qaoa = QaoaMaxCut::new(Graph::random_regular(n, 3, 3), 1);
-        let sim = KcSimulator::compile(&qaoa.circuit(), &KcOptions::default());
-        let nnf = sim.nnf();
+        let (sim, nnf) = KcSimulator::compile_with_nnf(&qaoa.circuit(), &KcOptions::default());
+        let nnf = &nnf;
         let tape = sim.tape();
         let num_vars = sim.encoding().cnf.num_vars();
         let mut rng = StdRng::seed_from_u64(n as u64);
@@ -207,7 +208,7 @@ fn main() {
                             for (i, v) in assignment[..n].iter_mut().enumerate() {
                                 *v = (x >> (n - 1 - i)) & 1;
                             }
-                            bound.amplitude_assignment_enum_walk(&assignment)
+                            bound.amplitude_assignment_enum_walk(nnf, &assignment)
                         })
                         .collect();
                 }
@@ -228,8 +229,8 @@ fn main() {
         }
 
         for _ in 0..repeats {
-            // Raw full-recompute upward passes (JSON only): both sides
-            // arithmetic-bound, expected near parity.
+            // Raw full-recompute upward passes: both sides arithmetic-bound,
+            // expected near parity.
             let (acc_enum, t) = time(|| {
                 let mut acc = Complex::new(0.0, 0.0);
                 for _ in 0..passes {
@@ -328,9 +329,7 @@ fn main() {
             );
         }
 
-        // Gibbs transitions on live samplers: same seed, both kernels; the
-        // chains are bit-identical, so comparing their final states doubles
-        // as an end-to-end equivalence check.
+        // Gibbs transitions on a live tape sampler.
         let vars = query_vars(&sim);
         let options = GibbsOptions {
             warmup: 50,
@@ -338,34 +337,16 @@ fn main() {
             seed: 12,
             ..Default::default()
         };
-        let mut enum_g = f64::INFINITY;
         let mut tape_g = f64::INFINITY;
-        let mut final_states: Option<(Vec<usize>, Vec<usize>)> = None;
         for _ in 0..repeats {
-            let mut enum_sampler = GibbsSampler::new_enum_walk(
-                nnf,
-                AcWeights::uniform(num_vars),
-                vars.clone(),
-                &options,
-            );
-            let (_, t) = time(|| {
-                for _ in 0..gibbs_steps {
-                    enum_sampler.step();
-                }
-            });
-            enum_g = enum_g.min(t);
-            let mut tape_sampler =
+            let mut sampler =
                 GibbsSampler::new(tape, AcWeights::uniform(num_vars), vars.clone(), &options);
             let (_, t) = time(|| {
                 for _ in 0..gibbs_steps {
-                    tape_sampler.step();
+                    sampler.step();
                 }
             });
             tape_g = tape_g.min(t);
-            final_states = Some((enum_sampler.state().to_vec(), tape_sampler.state().to_vec()));
-        }
-        if let Some((enum_state, tape_state)) = final_states {
-            assert_eq!(enum_state, tape_state, "gibbs chains diverged at n={n}");
         }
 
         let batch_bindings = (batch_steps * BATCH_K) as f64;
@@ -382,7 +363,6 @@ fn main() {
             tape_updown_per_sec: passes as f64 / tape_ud,
             full_batch_per_sec: batch_bindings / full_b,
             tape_batch_per_sec: batch_bindings / tape_b,
-            enum_gibbs_per_sec: gibbs_steps as f64 / enum_g,
             tape_gibbs_per_sec: gibbs_steps as f64 / tape_g,
         };
         // Perf regression gate on the lane-blocked batch path, enforced at
@@ -401,15 +381,17 @@ fn main() {
             format!("{:.0}", row.enum_amp_per_sec),
             format!("{:.0}", row.tape_amp_per_sec),
             format!("{:.2}x", row.tape_amp_per_sec / row.enum_amp_per_sec),
+            format!(
+                "{:.2}x",
+                row.tape_full_up_per_sec / row.enum_full_up_per_sec
+            ),
             format!("{:.0}", row.enum_updown_per_sec),
             format!("{:.0}", row.tape_updown_per_sec),
             format!("{:.2}x", row.tape_updown_per_sec / row.enum_updown_per_sec),
             format!("{:.0}", row.full_batch_per_sec),
             format!("{:.0}", row.tape_batch_per_sec),
             format!("{:.2}x", row.tape_batch_per_sec / row.full_batch_per_sec),
-            format!("{:.0}", row.enum_gibbs_per_sec),
             format!("{:.0}", row.tape_gibbs_per_sec),
-            format!("{:.2}x", row.tape_gibbs_per_sec / row.enum_gibbs_per_sec),
         ]);
         rows.push(row);
     }
@@ -421,7 +403,8 @@ fn main() {
          allocations per pass), the others the enum-arena reference walk \
          (batch/s: the tape's full batched pass over the same layout). \
          amp/s sweeps the output basis through a bound artifact — the \
-         wavefunction / probability-reconstruction access pattern."
+         wavefunction / probability-reconstruction access pattern; fux \
+         compares full-recompute upward passes."
     );
 
     if let Err(e) = write_json(&rows) {
@@ -451,8 +434,7 @@ fn write_json(rows: &[Row]) -> std::io::Result<()> {
              \"updown_speedup\":{:.3},\
              \"full_batch_bindings_per_sec\":{:.1},\
              \"tape_batch_bindings_per_sec\":{:.1},\"batch_speedup\":{:.3},\
-             \"enum_gibbs_steps_per_sec\":{:.1},\
-             \"tape_gibbs_steps_per_sec\":{:.1},\"gibbs_speedup\":{:.3}}}",
+             \"tape_gibbs_steps_per_sec\":{:.1}}}",
             r.qubits,
             r.ac_nodes,
             r.tape_bytes,
@@ -468,9 +450,7 @@ fn write_json(rows: &[Row]) -> std::io::Result<()> {
             r.full_batch_per_sec,
             r.tape_batch_per_sec,
             r.tape_batch_per_sec / r.full_batch_per_sec,
-            r.enum_gibbs_per_sec,
             r.tape_gibbs_per_sec,
-            r.tape_gibbs_per_sec / r.enum_gibbs_per_sec,
         ));
     }
     let datapoint = format!(

@@ -363,10 +363,9 @@ pub struct KcSimulator {
     pub(crate) bn: BayesNet,
     pub(crate) encoding: Encoding,
     pub(crate) fixed: HashMap<u32, bool>,
-    pub(crate) nnf: Nnf,
-    /// The flat execution form of `nnf` — every query kernel runs on this;
-    /// the enum arena is kept for serialization and as the reference
-    /// implementation the tape is tested against.
+    /// The compiled circuit, lowered once from the smoothed d-DNNF: the
+    /// only compiled form kept. Every query kernel runs on it, and it is
+    /// what artifacts serialize.
     pub(crate) tape: AcTape,
     pub(crate) query: Vec<QuerySpec>,
     /// The CNF variables carrying free query-value literals — the only
@@ -417,6 +416,31 @@ impl KcSimulator {
         options: &KcOptions,
         checkpoint: Option<CompileCheckpoint<'_>>,
     ) -> Result<Self, CompileError> {
+        Self::compile_impl(circuit, options, checkpoint).map(|(sim, _)| sim)
+    }
+
+    /// [`Self::compile`] that also hands back the smoothed d-DNNF the tape
+    /// was lowered from — the input of the scalar enum-walk reference
+    /// evaluators ([`qkc_knowledge::evaluate`] and friends) that tests and
+    /// kernel benchmarks check the tape against. The simulator itself never
+    /// keeps it.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::compile`].
+    #[doc(hidden)]
+    pub fn compile_with_nnf(circuit: &Circuit, options: &KcOptions) -> (Self, Nnf) {
+        Self::compile_impl(circuit, options, None)
+            .expect("valid circuits encode satisfiable CNFs without a checkpoint")
+    }
+
+    /// The pipeline body: the simulator plus the smoothed d-DNNF it was
+    /// lowered from.
+    fn compile_impl(
+        circuit: &Circuit,
+        options: &KcOptions,
+        checkpoint: Option<CompileCheckpoint<'_>>,
+    ) -> Result<(Self, Nnf), CompileError> {
         let check = |phase: CompilePhase| -> Result<(), CompileError> {
             match checkpoint {
                 Some(cb) => cb(phase)
@@ -535,17 +559,17 @@ impl KcSimulator {
 
         let (query_lit_vars, output_gray_order) =
             Self::derived_query_layout(&query, &tape, bn.outputs().len());
-        Ok(Self {
+        let sim = Self {
             bn,
             encoding,
             fixed,
-            nnf,
             tape,
             query,
             query_lit_vars,
             output_gray_order,
             metrics,
-        })
+        };
+        Ok((sim, nnf))
     }
 
     /// Mirrors a freshly measured compile into the global telemetry
@@ -648,12 +672,6 @@ impl KcSimulator {
     /// The CNF encoding (pre-simplification).
     pub fn encoding(&self) -> &Encoding {
         &self.encoding
-    }
-
-    /// The compiled, smoothed arithmetic circuit (enum-arena reference
-    /// form; kept for serialization and equivalence testing).
-    pub fn nnf(&self) -> &Nnf {
-        &self.nnf
     }
 
     /// The flat execution tape every query kernel runs on.

@@ -1461,41 +1461,75 @@ mod tests {
 
     #[test]
     fn corrupt_spill_files_are_quarantined_and_never_reread() {
-        let dir = scratch_dir("quarantine");
-        let writer = ArtifactCache::with_options(CacheOptions::default().with_spill_dir(&dir));
-        writer.get_or_compile(&parameterized(), &KcOptions::default());
-        for f in std::fs::read_dir(&dir).unwrap() {
-            let path = f.unwrap().path();
-            let mut bytes = std::fs::read(&path).unwrap();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0xFF;
-            std::fs::write(&path, &bytes).unwrap();
+        // Two kinds of unreadable spill file: a flipped byte (checksum
+        // mismatch), and a well-formed payload of the previous wire version
+        // under a valid checksum (version skew — what an older build left
+        // behind).
+        fn flip(bytes: &[u8]) -> Vec<u8> {
+            let mut out = bytes.to_vec();
+            out[bytes.len() / 2] ^= 0xFF;
+            out
         }
-        // The corrupt file costs exactly one recompile and is renamed
-        // aside — it can never be decoded (and fail) a second time.
-        let reader = ArtifactCache::with_options(CacheOptions::default().with_spill_dir(&dir));
-        reader.get_or_compile(&parameterized(), &KcOptions::default());
-        let s = reader.stats();
-        assert_eq!(s.misses, 1, "corrupt file → one recompile");
-        assert_eq!(s.spill_hits, 0);
-        assert_eq!(s.quarantined, 1);
-        let quarantined = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|f| {
-                f.as_ref().unwrap().path().extension() == Some(std::ffi::OsStr::new("quarantined"))
-            })
-            .count();
-        assert_eq!(quarantined, 1, "the bad bytes were renamed aside");
-        // The recompile wrote fresh good bytes through: a third cache
-        // rehydrates cleanly with nothing left to quarantine.
-        let third = ArtifactCache::with_options(CacheOptions::default().with_spill_dir(&dir));
-        third.get_or_compile(&parameterized(), &KcOptions::default());
-        assert_eq!(third.stats().spill_hits, 1);
-        assert_eq!(third.stats().quarantined, 0);
-        // `clear` sweeps quarantined files out with the live ones.
-        third.clear();
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
+        fn restamp_v2(bytes: &[u8]) -> Vec<u8> {
+            let mut out = bytes[..bytes.len() - 8].to_vec();
+            out[4..6].copy_from_slice(&2u16.to_le_bytes());
+            let sum = qkc_knowledge::wire_checksum(&out);
+            out.extend_from_slice(&sum.to_le_bytes());
+            out
+        }
+        let damages = [
+            ("flipped byte", flip as fn(&[u8]) -> Vec<u8>),
+            ("version 2", restamp_v2),
+        ];
+        let p = qkc_circuit::ParamMap::from_pairs([("a", 0.3), ("b", 0.7)]);
+        for (what, damage) in damages {
+            let dir = scratch_dir("quarantine");
+            let writer = ArtifactCache::with_options(CacheOptions::default().with_spill_dir(&dir));
+            let original = writer.get_or_compile(&parameterized(), &KcOptions::default());
+            for f in std::fs::read_dir(&dir).unwrap() {
+                let path = f.unwrap().path();
+                std::fs::write(&path, damage(&std::fs::read(&path).unwrap())).unwrap();
+            }
+            // The bad file costs exactly one recompile and is renamed
+            // aside — it can never be decoded (and fail) a second time.
+            let reader = ArtifactCache::with_options(CacheOptions::default().with_spill_dir(&dir));
+            let recompiled = reader.get_or_compile(&parameterized(), &KcOptions::default());
+            let s = reader.stats();
+            assert_eq!(s.misses, 1, "{what}: bad file → one recompile");
+            assert_eq!(s.spill_hits, 0, "{what}");
+            assert_eq!(s.quarantined, 1, "{what}");
+            // The recompile answers bit for bit like the artifact the file
+            // was written from.
+            let (want, got) = (
+                original.bind(&p).unwrap().wavefunction(),
+                recompiled.bind(&p).unwrap().wavefunction(),
+            );
+            for (x, (w, g)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    (w.re.to_bits(), w.im.to_bits()),
+                    (g.re.to_bits(), g.im.to_bits()),
+                    "{what}: amplitude {x}"
+                );
+            }
+            let quarantined = std::fs::read_dir(&dir)
+                .unwrap()
+                .filter(|f| {
+                    f.as_ref().unwrap().path().extension()
+                        == Some(std::ffi::OsStr::new("quarantined"))
+                })
+                .count();
+            assert_eq!(quarantined, 1, "{what}: the bad bytes were renamed aside");
+            // The recompile wrote fresh good bytes through: a third cache
+            // rehydrates cleanly with nothing left to quarantine.
+            let third = ArtifactCache::with_options(CacheOptions::default().with_spill_dir(&dir));
+            third.get_or_compile(&parameterized(), &KcOptions::default());
+            assert_eq!(third.stats().spill_hits, 1, "{what}");
+            assert_eq!(third.stats().quarantined, 0, "{what}");
+            // `clear` sweeps quarantined files out with the live ones.
+            third.clear();
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{what}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -19,12 +19,13 @@
 //! chain's differentials intact: a rejected proposal restores the evidence
 //! bit for bit and costs the next update nothing, and only an accepted
 //! proposal forces a full pass. [`GibbsStats`] counts each kind of step.
-//! [`GibbsSampler::new_enum_walk`] keeps the original enum-arena kernels as
-//! a reference implementation — both produce bit-identical chains for the
-//! same seed, which the equivalence tests assert.
+//! The unit tests run a reference chain beside it that makes the same
+//! transitions with a full enum-walk differential pass
+//! ([`evaluate_with_differentials`](crate::evaluate_with_differentials))
+//! every update; both draw the same sample stream, bit for bit, for the
+//! same seed.
 
-use crate::evaluate::{evaluate, evaluate_with_differentials, sample_model, AcWeights};
-use crate::nnf::Nnf;
+use crate::evaluate::AcWeights;
 use crate::tape::{AcTape, TapeEvaluator};
 use qkc_cnf::Lit;
 use qkc_math::{Complex, C_ONE, C_ZERO};
@@ -89,8 +90,7 @@ impl Default for GibbsOptions {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GibbsStats {
     /// Coordinate updates that ran a full upward + downward pass (the
-    /// first update, and the first after an accepted MH proposal; every
-    /// update on the enum-walk kernel).
+    /// first update, and the first after an accepted MH proposal).
     pub full_passes: u64,
     /// Coordinate updates that recomputed only the upward cone of the
     /// variable the previous update moved, then a full downward pass.
@@ -124,43 +124,28 @@ impl GibbsStats {
     }
 }
 
-/// The compiled circuit a chain runs on: the flat tape (production) or the
-/// enum arena (reference). Both kernels are bit-for-bit equivalent; the
-/// tape path additionally reuses every buffer across transitions.
-// The size skew vs the reference variant is fine: exactly one kernel is
-// embedded per (long-lived) sampler, so nothing pays for the larger one.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Kernel<'a> {
-    Tape {
-        tape: &'a AcTape,
-        /// Runs the chain's differential passes, and nothing else.
-        eval: TapeEvaluator,
-        /// Evaluates densities that do not move the chain (MH proposals,
-        /// start states, [`GibbsSampler::current_amplitude`]) and the
-        /// model-sampling magnitudes, so `eval`'s buffers survive them.
-        side: TapeEvaluator,
-        /// CNF variables whose weights changed since the last differential
-        /// pass — the delta set the next pass recomputes the cone of.
-        changed: Vec<u32>,
-        /// Too many changes to track (initialization, an accepted MH
-        /// proposal): the next differential pass runs in full. A rejected
-        /// proposal restores the evidence bit for bit and leaves it unset.
-        changed_full: bool,
-        /// `eval`'s partials still describe the current weights (no weight
-        /// change since the last differential pass, rejected proposals
-        /// included), so the next update can reuse them without any pass.
-        diffs_fresh: bool,
-    },
-    EnumWalk {
-        nnf: &'a Nnf,
-    },
-}
-
-/// A Gibbs sampler over a smoothed arithmetic circuit.
+/// A Gibbs sampler over a smoothed arithmetic circuit, lowered to its flat
+/// tape.
 #[derive(Debug)]
 pub struct GibbsSampler<'a> {
-    kernel: Kernel<'a>,
+    tape: &'a AcTape,
+    /// Runs the chain's differential passes, and nothing else.
+    eval: TapeEvaluator,
+    /// Evaluates densities that do not move the chain (MH proposals, start
+    /// states, [`GibbsSampler::current_amplitude`]) and the model-sampling
+    /// magnitudes, so `eval`'s buffers survive them.
+    side: TapeEvaluator,
+    /// CNF variables whose weights changed since the last differential
+    /// pass — the delta set the next pass recomputes the cone of.
+    changed: Vec<u32>,
+    /// Too many changes to track (initialization, an accepted MH proposal):
+    /// the next differential pass runs in full. A rejected proposal
+    /// restores the evidence bit for bit and leaves it unset.
+    changed_full: bool,
+    /// `eval`'s partials still describe the current weights (no weight
+    /// change since the last differential pass, rejected proposals
+    /// included), so the next update can reuse them without any pass.
+    diffs_fresh: bool,
     weights: AcWeights,
     vars: Vec<QueryVar>,
     state: Vec<usize>,
@@ -204,53 +189,16 @@ impl<'a> GibbsSampler<'a> {
         vars: Vec<QueryVar>,
         options: &GibbsOptions,
     ) -> Self {
-        Self::with_kernel(
-            Kernel::Tape {
-                tape,
-                eval: TapeEvaluator::new(),
-                side: TapeEvaluator::new(),
-                changed: Vec::new(),
-                // Start-state draws rewrite every query variable's evidence.
-                changed_full: true,
-                diffs_fresh: false,
-            },
-            base_weights,
-            vars,
-            options,
-        )
-    }
-
-    /// Creates a sampler running the original enum-arena kernels — the
-    /// reference implementation the tape path is tested against. Same seed,
-    /// same chain, bit for bit; every transition re-allocates its buffers.
-    #[doc(hidden)]
-    pub fn new_enum_walk(
-        nnf: &'a Nnf,
-        base_weights: AcWeights,
-        vars: Vec<QueryVar>,
-        options: &GibbsOptions,
-    ) -> Self {
-        Self::with_kernel(Kernel::EnumWalk { nnf }, base_weights, vars, options)
-    }
-
-    fn with_kernel(
-        kernel: Kernel<'a>,
-        base_weights: AcWeights,
-        vars: Vec<QueryVar>,
-        options: &GibbsOptions,
-    ) -> Self {
-        assert!(
-            vars.iter()
-                .all(|v| v.fixed.is_some() || !v.value_lits.is_empty()),
-            "movable variables need literals"
-        );
-        let rng = StdRng::seed_from_u64(options.seed);
-        let movable: Vec<usize> = (0..vars.len())
-            .filter(|&i| vars[i].fixed.is_none())
-            .collect();
+        let movable = movable_vars(&vars);
         let max_domain = vars.iter().map(|v| v.value_lits.len()).max().unwrap_or(0);
         let mut sampler = Self {
-            kernel,
+            tape,
+            eval: TapeEvaluator::new(),
+            side: TapeEvaluator::new(),
+            changed: Vec::new(),
+            // Start-state draws rewrite every query variable's evidence.
+            changed_full: true,
+            diffs_fresh: false,
             weights: base_weights,
             state: vec![0; vars.len()],
             vars,
@@ -258,7 +206,7 @@ impl<'a> GibbsSampler<'a> {
             probs: Vec::with_capacity(max_domain),
             saved_state: Vec::new(),
             model_lits: Vec::new(),
-            rng,
+            rng: StdRng::seed_from_u64(options.seed),
             stats: GibbsStats::default(),
             mh_restart_prob: options.mh_restart_prob,
             current_density: 0.0,
@@ -271,12 +219,9 @@ impl<'a> GibbsSampler<'a> {
         //
         // The model-sampling magnitudes depend only on the summed-out base
         // weights, which are identical on every redraw attempt (evidence is
-        // reset in between), so the tape kernel computes the magnitude
-        // buffer once and reuses it across the whole redraw loop.
-        let has_support = match &mut sampler.kernel {
-            Kernel::Tape { tape, side, .. } => side.model_magnitudes(tape, &sampler.weights) > 0.0,
-            Kernel::EnumWalk { .. } => true, // checked per draw by sample_model
-        };
+        // reset in between), so they are computed once and reused across
+        // the whole redraw loop.
+        let has_support = sampler.side.model_magnitudes(tape, &sampler.weights) > 0.0;
         sampler.draw_start(has_support);
         // Model sampling weights branches by magnitude, so phase
         // cancellation can still land the draw on a zero-amplitude state
@@ -286,7 +231,7 @@ impl<'a> GibbsSampler<'a> {
             if sampler.current_density > 0.0 {
                 break;
             }
-            sampler.reset_query_weights();
+            reset_query_weights(&mut sampler.weights, &sampler.vars);
             sampler.draw_start(has_support);
         }
         // Warm-up moves the chain into the support and mixes it.
@@ -298,63 +243,23 @@ impl<'a> GibbsSampler<'a> {
 
     /// Draws a start state by magnitude-weighted model sampling, applies
     /// its evidence, and records the resulting `|amplitude|²`. Expects the
-    /// query-variable weights to be in their summed-out (1, 1) state — and,
-    /// on the tape kernel, the magnitude buffer to be current for those
+    /// query-variable weights to be in their summed-out (1, 1) state, and
+    /// the side evaluator's magnitude buffer to be current for those
     /// weights (it is computed once in the constructor and reused across
     /// redraws, since the weights do not change in between).
     fn draw_start(&mut self, has_support: bool) {
-        let model = match &mut self.kernel {
-            Kernel::Tape { tape, side, .. } => {
-                if has_support {
-                    side.draw_model(tape, &mut self.rng, &mut self.model_lits);
-                    Some(std::mem::take(&mut self.model_lits))
-                } else {
-                    None
-                }
-            }
-            Kernel::EnumWalk { nnf } => sample_model(nnf, &self.weights, &mut self.rng),
+        let model = if has_support {
+            self.side
+                .draw_model(self.tape, &mut self.rng, &mut self.model_lits);
+            Some(&self.model_lits[..])
+        } else {
+            None
         };
-        let mut polarity: std::collections::HashMap<u32, bool> = std::collections::HashMap::new();
-        if let Some(lits) = &model {
-            for &l in lits {
-                polarity.insert(l.unsigned_abs(), l > 0);
-            }
-        }
-        for i in 0..self.vars.len() {
-            let v = &self.vars[i];
-            let mut chosen = v.fixed;
-            if chosen.is_none() {
-                for (value, &lit) in v.value_lits.iter().enumerate() {
-                    if polarity.get(&lit.unsigned_abs()) == Some(&(lit > 0)) {
-                        chosen = Some(value);
-                        break;
-                    }
-                }
-            }
-            let domain = v.value_lits.len();
-            self.state[i] = chosen.unwrap_or_else(|| self.rng.gen_range(0..domain));
-        }
-        // Return the lits buffer for the next redraw.
-        if let Some(lits) = model {
-            self.model_lits = lits;
-        }
-        for i in 0..self.vars.len() {
-            if !self.vars[i].value_lits.is_empty() {
-                self.apply_evidence(i);
-            }
+        assign_start_state(&self.vars, model, &mut self.state, &mut self.rng);
+        for (var, &value) in self.vars.iter().zip(&self.state) {
+            apply_evidence(&mut self.weights, var, value);
         }
         self.current_density = self.current_amplitude().norm_sqr();
-    }
-
-    /// Restores the summed-out (1, 1) weights of every query literal,
-    /// undoing applied evidence so model sampling sees the base
-    /// distribution again.
-    fn reset_query_weights(&mut self) {
-        for var in &self.vars {
-            for &lit in &var.value_lits {
-                self.weights.set(lit.unsigned_abs(), C_ONE, C_ONE);
-            }
-        }
     }
 
     /// The current assignment (one value per query variable).
@@ -378,35 +283,10 @@ impl<'a> GibbsSampler<'a> {
         self.stats.acceptance_rate()
     }
 
-    /// Sets the evidence weights for variable `i` to its current value.
-    fn apply_evidence(&mut self, i: usize) {
-        let var = &self.vars[i];
-        let chosen = self.state[i];
-        if var.value_lits.len() == 2 && var.value_lits[0] == -var.value_lits[1] {
-            // Binary-encoded: one CNF variable.
-            let v = var.value_lits[1].unsigned_abs();
-            let (pos, neg) = if chosen == 1 {
-                (C_ONE, C_ZERO)
-            } else {
-                (C_ZERO, C_ONE)
-            };
-            self.weights.set(v, pos, neg);
-        } else {
-            // Indicator-encoded: chosen indicator 1, others 0; negative
-            // polarities always 1.
-            for (value, &lit) in var.value_lits.iter().enumerate() {
-                let v = lit.unsigned_abs();
-                let w = if value == chosen { C_ONE } else { C_ZERO };
-                self.weights.set(v, w, C_ONE);
-            }
-        }
-    }
-
     /// One transition: with probability `mh_restart_prob` an independence
     /// MH move, otherwise a Gibbs coordinate update — pick a random unfixed
     /// variable, compute the conditional |amplitude|² of each of its values
-    /// via one upward+downward pass, and resample it. Zero allocations on
-    /// the tape kernel.
+    /// via one upward+downward pass, and resample it. Zero allocations.
     pub fn step(&mut self) {
         if self.movable.is_empty() {
             return;
@@ -416,59 +296,40 @@ impl<'a> GibbsSampler<'a> {
             return;
         }
         let i = self.movable[self.rng.gen_range(0..self.movable.len())];
-        // By Darwiche's differential semantics each value's literal
-        // derivative is the amplitude with this variable re-assigned —
-        // for binary nodes value 0's literal is `-v`, so one rule covers
-        // both encodings.
-        let var = &self.vars[i];
-        self.probs.clear();
-        match &mut self.kernel {
-            Kernel::Tape {
-                tape,
-                eval,
-                changed,
-                changed_full,
-                diffs_fresh,
-                ..
-            } => {
-                // Weights unchanged since the last differential pass
-                // (previous update resampled the same value, or an MH
-                // proposal was rejected): the partials are still exact —
-                // skip both passes entirely. Otherwise recompute just the
-                // dirty cone of the variables that moved, falling back to
-                // a full pass after initialization or an accepted MH
-                // proposal. All three paths are bit-for-bit the full
-                // recompute the enum walk performs.
-                if *diffs_fresh && changed.is_empty() && !*changed_full {
-                    self.stats.held_steps += 1;
-                } else {
-                    if *changed_full {
-                        self.stats.full_passes += 1;
-                        eval.differentials(tape, &self.weights);
-                    } else {
-                        self.stats.delta_passes += 1;
-                        eval.differentials_delta(tape, &self.weights, changed);
-                    }
-                    changed.clear();
-                    *changed_full = false;
-                    *diffs_fresh = true;
-                }
-                self.probs.extend(
-                    var.value_lits
-                        .iter()
-                        .map(|&lit| eval.wrt_lit(tape, lit).unwrap_or(C_ZERO).norm_sqr()),
-                );
-            }
-            Kernel::EnumWalk { nnf } => {
+        // Weights unchanged since the last differential pass (previous
+        // update resampled the same value, or an MH proposal was rejected):
+        // the partials are still exact — skip both passes entirely.
+        // Otherwise recompute just the dirty cone of the variables that
+        // moved, falling back to a full pass after initialization or an
+        // accepted MH proposal. All three paths are bit-for-bit a full
+        // recompute.
+        if self.diffs_fresh && self.changed.is_empty() && !self.changed_full {
+            self.stats.held_steps += 1;
+        } else {
+            if self.changed_full {
                 self.stats.full_passes += 1;
-                let d = evaluate_with_differentials(nnf, &self.weights);
-                self.probs.extend(
-                    var.value_lits
-                        .iter()
-                        .map(|&lit| d.wrt_lit(lit).unwrap_or(C_ZERO).norm_sqr()),
-                );
+                self.eval.differentials(self.tape, &self.weights);
+            } else {
+                self.stats.delta_passes += 1;
+                self.eval
+                    .differentials_delta(self.tape, &self.weights, &self.changed);
             }
+            self.changed.clear();
+            self.changed_full = false;
+            self.diffs_fresh = true;
         }
+        // By Darwiche's differential semantics each value's literal
+        // derivative is the amplitude with this variable re-assigned — for
+        // binary nodes value 0's literal is `-v`, so one rule covers both
+        // encodings.
+        let (eval, tape) = (&self.eval, self.tape);
+        self.probs.clear();
+        self.probs.extend(
+            self.vars[i]
+                .value_lits
+                .iter()
+                .map(|&lit| eval.wrt_lit(tape, lit).unwrap_or(C_ZERO).norm_sqr()),
+        );
         let total: f64 = self.probs.iter().sum();
         if total <= 0.0 {
             // Zero-support column (can only happen from a zero-amplitude
@@ -480,41 +341,13 @@ impl<'a> GibbsSampler<'a> {
         if new_value != self.state[i] {
             self.stats.coordinate_moves += 1;
             self.state[i] = new_value;
-            self.apply_evidence(i);
-            self.note_weights_changed(i);
-        }
-    }
-
-    /// Records that variable `i`'s evidence weights changed, so the tape
-    /// kernel's next differential pass recomputes (only) its cone.
-    fn note_weights_changed(&mut self, i: usize) {
-        if let Kernel::Tape {
-            changed,
-            changed_full,
-            diffs_fresh,
-            ..
-        } = &mut self.kernel
-        {
-            *diffs_fresh = false;
-            if !*changed_full {
-                changed.extend(self.vars[i].value_lits.iter().map(|l| l.unsigned_abs()));
+            apply_evidence(&mut self.weights, &self.vars[i], new_value);
+            // The next differential pass recomputes (only) its cone.
+            self.diffs_fresh = false;
+            if !self.changed_full {
+                self.changed
+                    .extend(self.vars[i].value_lits.iter().map(|l| l.unsigned_abs()));
             }
-        }
-    }
-
-    /// Records a bulk weight change (an accepted MH proposal): the tape
-    /// kernel's next differential pass runs in full.
-    fn note_weights_changed_all(&mut self) {
-        if let Kernel::Tape {
-            changed,
-            changed_full,
-            diffs_fresh,
-            ..
-        } = &mut self.kernel
-        {
-            *diffs_fresh = false;
-            *changed_full = true;
-            changed.clear();
         }
     }
 
@@ -528,10 +361,9 @@ impl<'a> GibbsSampler<'a> {
         self.stats.mh_proposed += 1;
         self.saved_state.clear();
         self.saved_state.extend_from_slice(&self.state);
-        for mi in 0..self.movable.len() {
-            let i = self.movable[mi];
+        for &i in &self.movable {
             self.state[i] = self.rng.gen_range(0..self.vars[i].value_lits.len());
-            self.apply_evidence(i);
+            apply_evidence(&mut self.weights, &self.vars[i], self.state[i]);
         }
         let new_density = self.current_amplitude().norm_sqr();
         let accept = if self.current_density <= 0.0 {
@@ -542,15 +374,19 @@ impl<'a> GibbsSampler<'a> {
         if accept {
             if self.state != self.saved_state {
                 self.stats.mh_accepted += 1;
-                self.note_weights_changed_all();
+                // A bulk weight change: the next differential pass runs in
+                // full.
+                self.diffs_fresh = false;
+                self.changed_full = true;
+                self.changed.clear();
             }
             self.current_density = new_density;
         } else {
             // Restoring the values restores the evidence weights bit for
             // bit, so the chain's differentials still describe them.
             self.state.copy_from_slice(&self.saved_state);
-            for mi in 0..self.movable.len() {
-                self.apply_evidence(self.movable[mi]);
+            for &i in &self.movable {
+                apply_evidence(&mut self.weights, &self.vars[i], self.state[i]);
             }
         }
     }
@@ -574,14 +410,79 @@ impl<'a> GibbsSampler<'a> {
         out
     }
 
-    /// The amplitude of the chain's current full assignment. On the tape
-    /// kernel a full upward pass on the side evaluator: its result does
-    /// not depend on what that evaluator computed before, and the chain's
-    /// differentials stay intact.
+    /// The amplitude of the chain's current full assignment: a full upward
+    /// pass on the side evaluator. Its result does not depend on what that
+    /// evaluator computed before, and the chain's differentials stay
+    /// intact.
     pub fn current_amplitude(&mut self) -> Complex {
-        match &mut self.kernel {
-            Kernel::Tape { tape, side, .. } => side.evaluate(tape, &self.weights),
-            Kernel::EnumWalk { nnf } => evaluate(nnf, &self.weights),
+        self.side.evaluate(self.tape, &self.weights)
+    }
+}
+
+/// Indices of the variables a chain may move; panics if one of them has no
+/// literals to set evidence through.
+fn movable_vars(vars: &[QueryVar]) -> Vec<usize> {
+    assert!(
+        vars.iter()
+            .all(|v| v.fixed.is_some() || !v.value_lits.is_empty()),
+        "movable variables need literals"
+    );
+    (0..vars.len())
+        .filter(|&i| vars[i].fixed.is_none())
+        .collect()
+}
+
+/// Reads a start state off a sampled model: a pinned variable keeps its
+/// value, a free one takes the value whose literal the model asserts, or a
+/// uniform draw when there is no model or it asserts none.
+fn assign_start_state(
+    vars: &[QueryVar],
+    model: Option<&[Lit]>,
+    state: &mut [usize],
+    rng: &mut StdRng,
+) {
+    let mut polarity: std::collections::HashMap<u32, bool> = std::collections::HashMap::new();
+    for &l in model.unwrap_or_default() {
+        polarity.insert(l.unsigned_abs(), l > 0);
+    }
+    for (v, slot) in vars.iter().zip(state.iter_mut()) {
+        let chosen = v.fixed.or_else(|| {
+            v.value_lits
+                .iter()
+                .position(|&lit| polarity.get(&lit.unsigned_abs()) == Some(&(lit > 0)))
+        });
+        *slot = chosen.unwrap_or_else(|| rng.gen_range(0..v.value_lits.len()));
+    }
+}
+
+/// Restores the summed-out (1, 1) weights of every query literal, undoing
+/// applied evidence so model sampling sees the base distribution again.
+fn reset_query_weights(weights: &mut AcWeights, vars: &[QueryVar]) {
+    for var in vars {
+        for &lit in &var.value_lits {
+            weights.set(lit.unsigned_abs(), C_ONE, C_ONE);
+        }
+    }
+}
+
+/// Sets the evidence weights of `var` to value `chosen` (nothing to set for
+/// a variable unit resolution removed).
+fn apply_evidence(weights: &mut AcWeights, var: &QueryVar, chosen: usize) {
+    let lits = &var.value_lits;
+    if lits.len() == 2 && lits[0] == -lits[1] {
+        // Binary-encoded: one CNF variable.
+        let (pos, neg) = if chosen == 1 {
+            (C_ONE, C_ZERO)
+        } else {
+            (C_ZERO, C_ONE)
+        };
+        weights.set(lits[1].unsigned_abs(), pos, neg);
+    } else {
+        // Indicator-encoded: chosen indicator 1, others 0; negative
+        // polarities always 1.
+        for (value, &lit) in lits.iter().enumerate() {
+            let w = if value == chosen { C_ONE } else { C_ZERO };
+            weights.set(lit.unsigned_abs(), w, C_ONE);
         }
     }
 }
@@ -590,8 +491,132 @@ impl<'a> GibbsSampler<'a> {
 mod tests {
     use super::*;
     use crate::compiler::{compile, CompileOptions};
+    use crate::evaluate::{evaluate, evaluate_with_differentials, sample_model};
+    use crate::nnf::Nnf;
     use crate::transform::smooth;
     use qkc_cnf::Cnf;
+
+    /// The enum-walk reference chain: [`GibbsSampler`]'s transitions,
+    /// drawing from the RNG in the same order, but with every density
+    /// walked on the [`Nnf`] arena and a full
+    /// [`evaluate_with_differentials`] pass on every coordinate update (so
+    /// `full_passes` counts every update, and nothing is held or delta).
+    struct EnumWalkChain<'n> {
+        nnf: &'n Nnf,
+        weights: AcWeights,
+        vars: Vec<QueryVar>,
+        movable: Vec<usize>,
+        state: Vec<usize>,
+        rng: StdRng,
+        mh_restart_prob: f64,
+        density: f64,
+        stats: GibbsStats,
+    }
+
+    impl<'n> EnumWalkChain<'n> {
+        fn new(nnf: &'n Nnf, weights: AcWeights, vars: Vec<QueryVar>, o: &GibbsOptions) -> Self {
+            let mut chain = Self {
+                nnf,
+                weights,
+                movable: movable_vars(&vars),
+                state: vec![0; vars.len()],
+                vars,
+                rng: StdRng::seed_from_u64(o.seed),
+                mh_restart_prob: o.mh_restart_prob,
+                density: 0.0,
+                stats: GibbsStats::default(),
+            };
+            chain.draw_start();
+            for _ in 0..ZERO_DENSITY_REDRAWS {
+                if chain.density > 0.0 {
+                    break;
+                }
+                reset_query_weights(&mut chain.weights, &chain.vars);
+                chain.draw_start();
+            }
+            for _ in 0..o.warmup {
+                chain.step();
+            }
+            chain
+        }
+
+        fn draw_start(&mut self) {
+            let model = sample_model(self.nnf, &self.weights, &mut self.rng);
+            assign_start_state(&self.vars, model.as_deref(), &mut self.state, &mut self.rng);
+            self.apply_all_evidence();
+            self.density = self.amplitude().norm_sqr();
+        }
+
+        fn apply_all_evidence(&mut self) {
+            for (var, &value) in self.vars.iter().zip(&self.state) {
+                apply_evidence(&mut self.weights, var, value);
+            }
+        }
+
+        fn amplitude(&self) -> Complex {
+            evaluate(self.nnf, &self.weights)
+        }
+
+        fn step(&mut self) {
+            if self.movable.is_empty() {
+                return;
+            }
+            if self.mh_restart_prob > 0.0 && self.rng.gen::<f64>() < self.mh_restart_prob {
+                return self.mh_move();
+            }
+            let i = self.movable[self.rng.gen_range(0..self.movable.len())];
+            self.stats.full_passes += 1;
+            let d = evaluate_with_differentials(self.nnf, &self.weights);
+            let probs: Vec<f64> = self.vars[i]
+                .value_lits
+                .iter()
+                .map(|&lit| d.wrt_lit(lit).unwrap_or(C_ZERO).norm_sqr())
+                .collect();
+            if probs.iter().sum::<f64>() <= 0.0 {
+                return;
+            }
+            let value = qkc_math::sample_cdf(&probs, &mut self.rng);
+            self.density = probs[value];
+            if value != self.state[i] {
+                self.stats.coordinate_moves += 1;
+                self.state[i] = value;
+                apply_evidence(&mut self.weights, &self.vars[i], value);
+            }
+        }
+
+        fn mh_move(&mut self) {
+            self.stats.mh_proposed += 1;
+            let saved = self.state.clone();
+            for &i in &self.movable {
+                self.state[i] = self.rng.gen_range(0..self.vars[i].value_lits.len());
+            }
+            self.apply_all_evidence();
+            let density = self.amplitude().norm_sqr();
+            let accept = if self.density <= 0.0 {
+                density > 0.0
+            } else {
+                self.rng.gen::<f64>() < (density / self.density).min(1.0)
+            };
+            if accept {
+                if self.state != saved {
+                    self.stats.mh_accepted += 1;
+                }
+                self.density = density;
+            } else {
+                self.state = saved;
+                self.apply_all_evidence();
+            }
+        }
+
+        fn samples(&mut self, count: usize) -> Vec<Vec<usize>> {
+            (0..count)
+                .map(|_| {
+                    self.step();
+                    self.state.clone()
+                })
+                .collect()
+        }
+    }
 
     /// A 2-variable circuit with amplitudes ±1/√2 on (0,0) and (1,1):
     /// a Bell-like parity constraint v1 == v2.
@@ -749,14 +774,135 @@ mod tests {
         }
     }
 
+    /// Runs the tape chain and the enum-walk reference chain side by side
+    /// and asserts they agree bit for bit: start state, every sample,
+    /// amplitudes queried mid-chain, final assignment, acceptance rate and
+    /// step bookkeeping. Returns the tape chain's stats and samples.
+    fn assert_chains_match(
+        nnf: &Nnf,
+        base: &AcWeights,
+        vars: &[QueryVar],
+        options: &GibbsOptions,
+        at: &str,
+    ) -> (GibbsStats, Vec<Vec<usize>>) {
+        let tape = AcTape::lower(nnf);
+        let mut tape_chain = GibbsSampler::new(&tape, base.clone(), vars.to_vec(), options);
+        let mut reference = EnumWalkChain::new(nnf, base.clone(), vars.to_vec(), options);
+        assert_eq!(tape_chain.state(), &reference.state[..], "{at}: start");
+        let mut stream = Vec::new();
+        for _ in 0..4 {
+            let a = tape_chain.sample_with(25, 1, <[usize]>::to_vec);
+            let b = reference.samples(25);
+            assert_eq!(a, b, "{at}: chains diverged");
+            let (x, y) = (tape_chain.current_amplitude(), reference.amplitude());
+            assert_eq!(x.re.to_bits(), y.re.to_bits(), "{at}");
+            assert_eq!(x.im.to_bits(), y.im.to_bits(), "{at}");
+            stream.extend(a);
+        }
+        assert_eq!(tape_chain.state(), &reference.state[..], "{at}: final");
+        assert_eq!(
+            tape_chain.acceptance_rate().to_bits(),
+            reference.stats.acceptance_rate().to_bits(),
+            "{at}"
+        );
+        let (t, e) = (tape_chain.stats(), reference.stats);
+        assert_eq!(t.steps(), e.steps(), "{at}");
+        assert_eq!(
+            t.full_passes + t.delta_passes + t.held_steps,
+            e.full_passes,
+            "{at}: one reference pass per coordinate update"
+        );
+        assert_eq!(
+            (t.coordinate_moves, t.mh_proposed, t.mh_accepted),
+            (e.coordinate_moves, e.mh_proposed, e.mh_accepted),
+            "{at}"
+        );
+        assert!(t.full_passes <= 1 + t.mh_accepted, "{at}: {t:?}");
+        (t, stream)
+    }
+
+    /// A random compiled formula carrying every kind of query variable the
+    /// stack hands the sampler: two free binary-encoded variables, one
+    /// pinned with evidence, an indicator-encoded variable (exactly one of
+    /// 3–4 indicators holds), one pinned without literals (what unit
+    /// resolution leaves), and two summed-out variables under random
+    /// complex weights. Random clauses over all of them may cut the support
+    /// down to nothing, which the chains must also agree on.
+    fn random_chain_case(seed: u64) -> (Nnf, AcWeights, Vec<QueryVar>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let domain = rng.gen_range(3..5usize);
+        let indicators: Vec<Lit> = (4..4 + domain as Lit).collect();
+        let num_vars = 3 + domain + 2;
+        let mut f = Cnf::new(num_vars);
+        f.add_clause(indicators.clone());
+        for (k, &a) in indicators.iter().enumerate() {
+            for &b in &indicators[k + 1..] {
+                f.add_clause(vec![-a, -b]);
+            }
+        }
+        for _ in 0..rng.gen_range(2..6usize) {
+            let len = rng.gen_range(2..4usize);
+            let clause = (0..len)
+                .map(|_| {
+                    let v = rng.gen_range(1..num_vars as Lit + 1);
+                    if rng.gen::<bool>() {
+                        v
+                    } else {
+                        -v
+                    }
+                })
+                .collect();
+            f.add_clause(clause);
+        }
+        let mut groups: Vec<Vec<Lit>> = (1..=3).map(|v| vec![-v, v]).collect();
+        groups.push(indicators.clone());
+        let nnf = smooth(&compile(&f, &CompileOptions::default()).nnf, &groups);
+        let mut base = AcWeights::uniform(num_vars);
+        for v in num_vars - 1..=num_vars {
+            let mut c = || Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5);
+            let (pos, neg) = (c(), c());
+            base.set(v as u32, pos, neg);
+        }
+        let binary = |v: Lit, fixed| QueryVar {
+            label: format!("q{v}"),
+            value_lits: vec![-v, v],
+            fixed,
+        };
+        let vars = vec![
+            binary(1, None),
+            binary(2, None),
+            binary(3, Some(rng.gen_range(0..2usize))),
+            QueryVar {
+                label: "rv".into(),
+                value_lits: indicators,
+                fixed: None,
+            },
+            QueryVar {
+                label: "resolved".into(),
+                value_lits: Vec::new(),
+                fixed: Some(0),
+            },
+        ];
+        (nnf, base, vars)
+    }
+
     #[test]
     fn tape_and_enum_walk_chains_are_bit_identical() {
-        // Same seed, same circuit, both kernels: states, amplitudes queried
-        // mid-chain, acceptance bookkeeping, and the full sample stream
-        // must match exactly — through zero-density redraws (interference
-        // circuit), and across MH rates from none to most steps, so that on
-        // the full-support OR circuit accepted and rejected proposals
-        // interleave with delta and held updates.
+        // Same seed, same circuit, both kernels, across MH rates from none
+        // to most steps, so accepted and rejected proposals interleave with
+        // delta and held updates. Two hand-made circuits pin the corner
+        // cases — zero-density redraws (interference circuit) and accepted
+        // proposals (full-support OR circuit) — and random formulas cover
+        // binary, indicator-encoded and pinned variables.
+        let rates = [0.0, 0.1, 0.3, 0.6];
+        let mut totals = GibbsStats::default();
+        let mut tally = |t: GibbsStats| {
+            totals.mh_proposed += t.mh_proposed;
+            totals.mh_accepted += t.mh_accepted;
+            totals.held_steps += t.held_steps;
+            totals.delta_passes += t.delta_passes;
+        };
+
         let mut interference = Cnf::new(3);
         interference.add_clause(vec![-1, 2]);
         interference.add_clause(vec![1, -2]);
@@ -764,7 +910,6 @@ mod tests {
         let mut or = Cnf::new(3);
         or.add_clause(vec![1, 2, 3]);
         let groups: Vec<Vec<Lit>> = (1..=3).map(|v| vec![v, -v]).collect();
-        let mut totals = GibbsStats::default();
         // The summed-out v3's weights: cancelling on the interference
         // circuit; on the OR circuit a phase that makes (0,0) less likely
         // than the other three states, so conditionals depend on the state.
@@ -772,64 +917,52 @@ mod tests {
             (interference, qkc_math::Complex::real(-1.0)),
             (or, qkc_math::Complex::new(0.0, 0.5)),
         ];
-        for (f, neg3) in cases {
+        for (case, (f, neg3)) in cases.into_iter().enumerate() {
             let nnf = smooth(&compile(&f, &CompileOptions::default()).nnf, &groups);
-            let tape = AcTape::lower(&nnf);
-            for (mh_restart_prob, seed) in [0.0, 0.1, 0.3, 0.6]
-                .into_iter()
-                .flat_map(|mh| (0..10).map(move |seed| (mh, seed)))
-            {
-                let mut base = AcWeights::uniform(3);
-                base.set(3, C_ONE, neg3);
-                let options = GibbsOptions {
-                    warmup: 25,
-                    thin: 1,
-                    seed,
-                    mh_restart_prob,
-                };
-                let mut tape_chain =
-                    GibbsSampler::new(&tape, base.clone(), parity_vars(), &options);
-                let mut enum_chain =
-                    GibbsSampler::new_enum_walk(&nnf, base, parity_vars(), &options);
-                let at = format!("mh {mh_restart_prob}, seed {seed}");
-                assert_eq!(tape_chain.state(), enum_chain.state(), "{at}");
-                for _ in 0..4 {
-                    let a = tape_chain.sample_with(50, 1, <[usize]>::to_vec);
-                    let b = enum_chain.sample_with(50, 1, <[usize]>::to_vec);
-                    assert_eq!(a, b, "{at}: chains diverged");
-                    let (x, y) = (
-                        tape_chain.current_amplitude(),
-                        enum_chain.current_amplitude(),
-                    );
-                    assert_eq!(x.re.to_bits(), y.re.to_bits(), "{at}");
-                    assert_eq!(x.im.to_bits(), y.im.to_bits(), "{at}");
+            let mut base = AcWeights::uniform(3);
+            base.set(3, C_ONE, neg3);
+            for mh_restart_prob in rates {
+                for seed in 0..10 {
+                    let options = GibbsOptions {
+                        warmup: 25,
+                        thin: 1,
+                        seed,
+                        mh_restart_prob,
+                    };
+                    let at = format!("case {case}, mh {mh_restart_prob}, seed {seed}");
+                    tally(assert_chains_match(&nnf, &base, &parity_vars(), &options, &at).0);
                 }
-                assert_eq!(
-                    tape_chain.acceptance_rate().to_bits(),
-                    enum_chain.acceptance_rate().to_bits(),
-                    "{at}"
-                );
-                let (t, e) = (tape_chain.stats(), enum_chain.stats());
-                assert_eq!(t.steps(), e.steps(), "{at}");
-                assert_eq!(
-                    (t.coordinate_moves, t.mh_proposed, t.mh_accepted),
-                    (e.coordinate_moves, e.mh_proposed, e.mh_accepted),
-                    "{at}"
-                );
-                assert!(t.full_passes <= 1 + t.mh_accepted, "{at}: {t:?}");
-                totals.mh_proposed += t.mh_proposed;
-                totals.mh_accepted += t.mh_accepted;
-                totals.held_steps += t.held_steps;
-                totals.delta_passes += t.delta_passes;
             }
         }
-        // The cases cover every kind of step.
+
+        let mut indicator_values = std::collections::HashSet::new();
+        for formula in 0..12 {
+            let (nnf, base, vars) = random_chain_case(formula);
+            for mh_restart_prob in rates {
+                for seed in 0..3 {
+                    let options = GibbsOptions {
+                        warmup: 30,
+                        thin: 1,
+                        seed,
+                        mh_restart_prob,
+                    };
+                    let at = format!("formula {formula}, mh {mh_restart_prob}, seed {seed}");
+                    let (t, stream) = assert_chains_match(&nnf, &base, &vars, &options, &at);
+                    tally(t);
+                    indicator_values.extend(stream.iter().map(|s| s[3]));
+                }
+            }
+        }
+
+        // The cases cover every kind of step, and the indicator-encoded
+        // variable moves.
         assert!(totals.mh_accepted > 0, "{totals:?}");
         assert!(totals.mh_proposed > totals.mh_accepted, "{totals:?}");
         assert!(
             totals.held_steps > 0 && totals.delta_passes > 0,
             "{totals:?}"
         );
+        assert!(indicator_values.len() >= 3, "{indicator_values:?}");
     }
 
     #[test]

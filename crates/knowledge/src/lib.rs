@@ -20,7 +20,10 @@
 //! ([`AcWeightsBatch`]) in lane-blocked split-plane layout ([`lanes`]).
 //! Every result is bit-for-bit identical, lane by lane, to the scalar
 //! enum walk ([`evaluate`], [`evaluate_with_differentials`],
-//! [`sample_model`]), which remains as the one reference implementation.
+//! [`sample_model`]), which remains as the one reference implementation:
+//! tests and kernel benchmarks run it on the arena, while a compiled
+//! simulator keeps only the tape. The [`GibbsSampler`] runs on the tape
+//! alone; its unit tests check it against a test-only enum-walk chain.
 //!
 //! # Examples
 //!

@@ -37,45 +37,6 @@ pub struct Nnf {
 }
 
 impl Nnf {
-    /// Reassembles an arena from raw parts — the deserialization entry
-    /// point for artifact wire formats. Validates the arena invariants the
-    /// evaluators index by (children strictly precede parents, root in
-    /// range, literals nonzero); deeper d-DNNF semantic properties
-    /// (decomposability, determinism) are the producer's contract.
-    ///
-    /// # Errors
-    ///
-    /// A static description of the violated invariant.
-    pub fn from_parts(nodes: Vec<NnfNode>, root: NnfId) -> Result<Self, &'static str> {
-        if nodes.is_empty() {
-            return Err("empty arena");
-        }
-        if root as usize >= nodes.len() {
-            return Err("root out of range");
-        }
-        for (i, node) in nodes.iter().enumerate() {
-            match node {
-                NnfNode::True | NnfNode::False => {}
-                NnfNode::Lit(l) => {
-                    if *l == 0 || *l == i32::MIN {
-                        return Err("invalid literal");
-                    }
-                }
-                NnfNode::And(cs) => {
-                    if cs.iter().any(|&c| c as usize >= i) {
-                        return Err("child after parent");
-                    }
-                }
-                NnfNode::Or(a, b) => {
-                    if *a as usize >= i || *b as usize >= i {
-                        return Err("child after parent");
-                    }
-                }
-            }
-        }
-        Ok(Self { nodes, root })
-    }
-
     /// The nodes, children-before-parents.
     pub fn nodes(&self) -> &[NnfNode] {
         &self.nodes
@@ -101,26 +62,6 @@ impl Nnf {
                 _ => 0,
             })
             .sum()
-    }
-
-    /// Exact resident size of the enum arena in bytes: the node vector
-    /// plus every AND node's boxed child slice. The old `8 × (nodes +
-    /// edges)` estimate undercounted the enum layout badly (each node is
-    /// `size_of::<NnfNode>()` ≈ 24 bytes before its children). Note the
-    /// *execution* form — [`AcTape`](crate::AcTape) — is smaller still;
-    /// its [`size_bytes`](crate::AcTape::size_bytes) is what the artifact
-    /// cache accounts.
-    pub fn size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.nodes.len() * std::mem::size_of::<NnfNode>()
-            + self
-                .nodes
-                .iter()
-                .map(|n| match n {
-                    NnfNode::And(cs) => cs.len() * std::mem::size_of::<NnfId>(),
-                    _ => 0,
-                })
-                .sum::<usize>()
     }
 
     /// Serializes in the c2d `.nnf` text format (the format the paper's
@@ -199,11 +140,6 @@ impl NnfBuilder {
     /// The ⊥ node.
     pub fn false_id(&self) -> NnfId {
         1
-    }
-
-    /// Number of nodes created so far (including unreachable ones).
-    pub fn arena_len(&self) -> usize {
-        self.nodes.len()
     }
 
     fn intern(&mut self, node: NnfNode) -> NnfId {
@@ -394,23 +330,5 @@ mod tests {
         );
         assert_eq!(lines.clone().count(), nnf.num_nodes());
         assert_eq!(lines.filter(|l| l.starts_with('L')).count(), 3);
-    }
-
-    #[test]
-    fn size_bytes_is_exact_arena_accounting() {
-        let mut b = NnfBuilder::new();
-        let x = b.lit(1);
-        let y = b.lit(2);
-        let a = b.and([x, y]);
-        let nnf = b.extract(a);
-        // 3 nodes (two literals + one AND with 2 boxed children).
-        let expected = std::mem::size_of::<Nnf>()
-            + 3 * std::mem::size_of::<NnfNode>()
-            + 2 * std::mem::size_of::<NnfId>();
-        assert_eq!(nnf.size_bytes(), expected);
-        // Growing the structure grows the accounting.
-        let z = b.lit(3);
-        let bigger = b.and([a, z]);
-        assert!(b.extract(bigger).size_bytes() > nnf.size_bytes());
     }
 }

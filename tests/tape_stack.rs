@@ -1,14 +1,17 @@
 //! Full-stack regression tests for the flat-tape port: every query the
 //! stack answers on the compiled tape (with delta evaluation and
 //! Gray-ordered basis sweeps) must stay **bit-for-bit** equal to the
-//! enum-walk reference path — on random pure and noisy circuits, through
-//! Gibbs sampling, and through a complete `SweepExecutor` run.
+//! scalar enum walk over the smoothed d-DNNF the tape was lowered from
+//! (`KcSimulator::compile_with_nnf`) — on random pure and noisy circuits,
+//! and through a complete `SweepExecutor` run. Gibbs chains are checked
+//! against the enum-walk reference chain in the sampler's own unit tests
+//! (`qkc_knowledge`, `gibbs.rs`) and by `tests/gibbs_identity.rs`.
 
 use proptest::prelude::*;
 use qkc::circuit::{Circuit, Param, ParamMap};
 use qkc::engine::{Engine, EngineOptions, SweepSpec};
 use qkc::kc::KcSimulator;
-use qkc::knowledge::GibbsOptions;
+use qkc::knowledge::Nnf;
 use qkc::math::Complex;
 
 /// A random parameterized circuit instruction; rotation angles reference
@@ -70,7 +73,7 @@ fn bits_eq(x: Complex, y: Complex) -> bool {
 
 /// The enum-walk wavefunction: one arena walk per basis state, via the
 /// reference amplitude path (`amplitude_assignment_enum_walk`).
-fn enum_walk_wavefunction(sim: &KcSimulator, p: &ParamMap) -> Vec<Complex> {
+fn enum_walk_wavefunction(sim: &KcSimulator, nnf: &Nnf, p: &ParamMap) -> Vec<Complex> {
     let bound = sim.bind(p).unwrap();
     let n = sim.num_outputs();
     let mut values = vec![0usize; sim.query().len()];
@@ -79,7 +82,7 @@ fn enum_walk_wavefunction(sim: &KcSimulator, p: &ParamMap) -> Vec<Complex> {
             for (i, v) in values[..n].iter_mut().enumerate() {
                 *v = (x >> (n - 1 - i)) & 1;
             }
-            bound.amplitude_assignment_enum_walk(&values)
+            bound.amplitude_assignment_enum_walk(nnf, &values)
         })
         .collect()
 }
@@ -87,7 +90,7 @@ fn enum_walk_wavefunction(sim: &KcSimulator, p: &ParamMap) -> Vec<Complex> {
 /// The enum-walk output distribution: random events enumerated in the
 /// stack's odometer order, so per-`x` accumulation order matches
 /// `output_probabilities` exactly.
-fn enum_walk_probabilities(sim: &KcSimulator, p: &ParamMap) -> Vec<f64> {
+fn enum_walk_probabilities(sim: &KcSimulator, nnf: &Nnf, p: &ParamMap) -> Vec<f64> {
     let bound = sim.bind(p).unwrap();
     let n = sim.num_outputs();
     let rv_domains: Vec<usize> = sim.query()[n..].iter().map(|s| s.domain).collect();
@@ -100,7 +103,9 @@ fn enum_walk_probabilities(sim: &KcSimulator, p: &ParamMap) -> Vec<f64> {
             for (i, v) in values[..n].iter_mut().enumerate() {
                 *v = (x >> (n - 1 - i)) & 1;
             }
-            *p += bound.amplitude_assignment_enum_walk(&values).norm_sqr();
+            *p += bound
+                .amplitude_assignment_enum_walk(nnf, &values)
+                .norm_sqr();
         }
         let mut i = 0;
         loop {
@@ -129,10 +134,10 @@ proptest! {
         b in -3.0..3.0f64,
     ) {
         let c = build(3, &instrs);
-        let sim = KcSimulator::compile(&c, &Default::default());
+        let (sim, nnf) = KcSimulator::compile_with_nnf(&c, &Default::default());
         let p = params(a, b);
         let tape_wf = sim.bind(&p).unwrap().wavefunction();
-        let enum_wf = enum_walk_wavefunction(&sim, &p);
+        let enum_wf = enum_walk_wavefunction(&sim, &nnf, &p);
         for (x, (&got, &want)) in tape_wf.iter().zip(&enum_wf).enumerate() {
             prop_assert!(bits_eq(got, want), "amp {x}: {got} vs {want}");
         }
@@ -149,57 +154,16 @@ proptest! {
     ) {
         let mut c = build(2, &instrs);
         c.depolarize(noise_q, 0.05);
-        let sim = KcSimulator::compile(&c, &Default::default());
+        let (sim, nnf) = KcSimulator::compile_with_nnf(&c, &Default::default());
         let p = params(a, b);
         let tape_probs = sim.bind(&p).unwrap().output_probabilities();
-        let enum_probs = enum_walk_probabilities(&sim, &p);
+        let enum_probs = enum_walk_probabilities(&sim, &nnf, &p);
         for (x, (&got, &want)) in tape_probs.iter().zip(&enum_probs).enumerate() {
             prop_assert!(
                 got.to_bits() == want.to_bits(),
                 "P({x}): {got} vs {want}"
             );
         }
-    }
-
-    /// Gibbs chains on the tape kernel (delta differentials, free held
-    /// moves, cached model-sampling magnitudes, MH proposals on the side
-    /// evaluator) produce the identical sample stream to the enum-walk
-    /// kernel through the full stack — with accepted and rejected
-    /// proposals interleaved among delta and held updates, and amplitude
-    /// queries mid-chain.
-    #[test]
-    fn gibbs_samples_match_enum_walk(
-        instrs in proptest::collection::vec(arb_instr(2), 1..8),
-        a in -3.0..3.0f64,
-        b in -3.0..3.0f64,
-        seed in 0u64..32,
-        mh_restart_prob in 0.0..0.6f64,
-    ) {
-        let mut c = build(2, &instrs);
-        c.depolarize(0, 0.1);
-        let sim = KcSimulator::compile(&c, &Default::default());
-        let p = params(a, b);
-        let bound = sim.bind(&p).unwrap();
-        let options = GibbsOptions { warmup: 30, thin: 1, seed, mh_restart_prob };
-        let mut tape = bound.sampler(&options);
-        let mut walk = bound.sampler_enum_walk(&options);
-        for _ in 0..4 {
-            prop_assert_eq!(tape.sample_outputs(25, 1), walk.sample_outputs(25, 1));
-            let (x, y) = (tape.current_amplitude(), walk.current_amplitude());
-            prop_assert!(bits_eq(x, y), "amplitude {x} vs {y}");
-        }
-        prop_assert_eq!(tape.current_assignment(), walk.current_assignment());
-        prop_assert_eq!(
-            tape.acceptance_rate().to_bits(),
-            walk.acceptance_rate().to_bits()
-        );
-        let (t, w) = (tape.stats(), walk.stats());
-        prop_assert_eq!(t.steps(), w.steps());
-        prop_assert_eq!(
-            (t.coordinate_moves, t.mh_proposed, t.mh_accepted),
-            (w.coordinate_moves, w.mh_proposed, w.mh_accepted)
-        );
-        prop_assert!(t.full_passes <= 1 + t.mh_accepted, "{:?}", t);
     }
 }
 
@@ -224,11 +188,11 @@ fn sweep_executor_results_match_enum_walk_reconstruction() {
 
     // Enum reference: per-point expectation folded in the same order the
     // backend folds probabilities.
-    let sim = KcSimulator::compile(&c, &Default::default());
+    let (sim, nnf) = KcSimulator::compile_with_nnf(&c, &Default::default());
     let reference: Vec<f64> = points
         .iter()
         .map(|p| {
-            enum_walk_wavefunction(&sim, p)
+            enum_walk_wavefunction(&sim, &nnf, p)
                 .iter()
                 .map(|amp| amp.norm_sqr())
                 .enumerate()
