@@ -24,10 +24,11 @@
 //!   layout, so `bx` (gated ≥ 1.5× at the default sizes) compares delta
 //!   against full pass, like with like. The last binding is also checked
 //!   lane by lane against the scalar enum walk.
-//! * `tg/s` — Gibbs transitions per second on a live tape sampler (delta
-//!   cone per accepted move, free re-use on held moves). Its chains are
-//!   checked against the enum-walk reference chain by the sampler's unit
-//!   tests and `tests/gibbs_identity.rs`, not here.
+//! * `tg/s` — Gibbs transitions per second on the bound circuit's own
+//!   sampler (`BoundKc::sampler`: delta cone per accepted move, free
+//!   re-use on held moves). Its chains are checked against the enum-walk
+//!   reference chain by the sampler's unit tests and
+//!   `tests/gibbs_identity.rs`, not here.
 //!
 //! Every measured pair is also checked bit-for-bit: the tape result must
 //! equal the reference result exactly (the determinism contract lowering
@@ -43,8 +44,8 @@
 use qkc_bench::{time, ResultTable, Scale};
 use qkc_core::{KcOptions, KcSimulator};
 use qkc_knowledge::{
-    evaluate, evaluate_with_differentials, AcWeights, AcWeightsBatch, GibbsOptions, GibbsSampler,
-    QueryVar, TapeEvaluator, LANE_WIDTH,
+    evaluate, evaluate_with_differentials, AcWeights, AcWeightsBatch, GibbsOptions, TapeEvaluator,
+    LANE_WIDTH,
 };
 use qkc_math::Complex;
 use qkc_workloads::{Graph, QaoaMaxCut};
@@ -91,28 +92,6 @@ fn random_weights(num_vars: usize, rng: &mut StdRng) -> AcWeights {
         );
     }
     w
-}
-
-fn query_vars(sim: &KcSimulator) -> Vec<QueryVar> {
-    sim.query()
-        .iter()
-        .map(|spec| {
-            let free = spec.free_values();
-            if let Some(_v) = spec.forced_value() {
-                QueryVar {
-                    label: spec.label.clone(),
-                    value_lits: Vec::new(),
-                    fixed: Some(0),
-                }
-            } else {
-                QueryVar {
-                    label: spec.label.clone(),
-                    value_lits: free.iter().map(|&(_, l)| l).collect(),
-                    fixed: None,
-                }
-            }
-        })
-        .collect()
 }
 
 fn main() {
@@ -329,8 +308,9 @@ fn main() {
             );
         }
 
-        // Gibbs transitions on a live tape sampler.
-        let vars = query_vars(&sim);
+        // Gibbs transitions on the stack's own sampler over the bound
+        // QAOA weights (warmup runs in the constructor, outside the timed
+        // region).
         let options = GibbsOptions {
             warmup: 50,
             thin: 1,
@@ -339,13 +319,8 @@ fn main() {
         };
         let mut tape_g = f64::INFINITY;
         for _ in 0..repeats {
-            let mut sampler =
-                GibbsSampler::new(tape, AcWeights::uniform(num_vars), vars.clone(), &options);
-            let (_, t) = time(|| {
-                for _ in 0..gibbs_steps {
-                    sampler.step();
-                }
-            });
+            let mut sampler = bound.sampler(&options);
+            let (_, t) = time(|| sampler.sample_outputs(gibbs_steps, 1));
             tape_g = tape_g.min(t);
         }
 

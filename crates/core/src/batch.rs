@@ -14,12 +14,12 @@
 //! on `bind(&params[l])` — the engine's sweep executor relies on this to
 //! keep sweep results byte-identical across batch widths.
 
-use crate::pipeline::{KcSimulator, ValueState};
+use crate::bound::{for_each_output_gray, for_each_rv_assignment, query_values, QueryBuffers};
+use crate::pipeline::KcSimulator;
 use qkc_circuit::{ParamMap, UnboundParam};
-use qkc_knowledge::{AcWeightsBatch, TangentPlanBatch, TapeEvaluator, LANE_WIDTH};
+use qkc_knowledge::{AcWeightsBatch, LANE_WIDTH};
 use qkc_math::{Complex, C_ONE, C_ZERO};
 use qkc_telemetry::count;
-use std::cell::RefCell;
 
 /// Records the lane occupancy of a batched bind: `kernel/batch/width`
 /// accumulates requested lanes, `kernel/batch/remainder_lanes` the dead
@@ -53,21 +53,16 @@ impl KcSimulator {
         note_batch_width(k);
         let mut weights = AcWeightsBatch::uniform(self.encoding().cnf.num_vars(), k);
         let mut globals = vec![C_ONE; k];
-        for (var, node, slot) in self.encoding().vars.params() {
-            match self.fixed_vars().get(&var) {
-                // Same split as the scalar bind: forced-true parameters
-                // become per-lane global factors, forced-false contribute
-                // w(¬P) = 1, free parameters land in the weight lanes.
-                Some(&true) => {
-                    for (g, table) in globals.iter_mut().zip(&tables) {
-                        *g *= table.value(node, slot);
-                    }
-                }
-                Some(&false) => {}
-                None => {
-                    for (lane, table) in tables.iter().enumerate() {
-                        weights.set_lane(var, lane, table.value(node, slot), C_ONE);
-                    }
+        for (var, node, slot, forced) in self.weighted_params() {
+            // Same split as the scalar bind, per lane: forced-true
+            // parameters become per-lane global factors, free parameters
+            // land in the weight lanes.
+            for (lane, table) in tables.iter().enumerate() {
+                let value = table.value(node, slot);
+                if forced {
+                    globals[lane] *= value;
+                } else {
+                    weights.set_lane(var, lane, value, C_ONE);
                 }
             }
         }
@@ -75,81 +70,7 @@ impl KcSimulator {
             sim: self,
             weights,
             globals,
-            scratch: RefCell::new(None),
-            eval: RefCell::new(TapeEvaluator::new()),
-            last_query: RefCell::new(Vec::new()),
-            changed_vars: RefCell::new(Vec::new()),
-        })
-    }
-
-    /// The batched analogue of
-    /// [`bind_with_tangents`](KcSimulator::bind_with_tangents): `k`
-    /// parameter maps bound at once, each lane carrying its own weight
-    /// tangents for the shared symbol list. Lane `l` of every gradient
-    /// query is bit-for-bit the scalar tangent bind of `params[l]`.
-    ///
-    /// # Errors
-    ///
-    /// The first binding error in input order, if any point omits a symbol
-    /// the circuit mentions.
-    pub fn bind_batch_with_tangents(
-        &self,
-        params: &[ParamMap],
-        symbols: &[String],
-    ) -> Result<BoundKcBatchTangents<'_>, UnboundParam> {
-        let evaluated = params
-            .iter()
-            .map(|p| self.bayes_net().evaluate_weights_with_tangents(p, symbols))
-            .collect::<Result<Vec<_>, _>>()?;
-        let k = params.len();
-        note_batch_width(k);
-        let num_vars = self.encoding().cnf.num_vars();
-        let mut weights = AcWeightsBatch::uniform(num_vars, k);
-        let mut globals = vec![C_ONE; k];
-        let mut dglobals = vec![vec![C_ZERO; k]; symbols.len()];
-        let mut tangents: Vec<AcWeightsBatch> = symbols
-            .iter()
-            .map(|_| AcWeightsBatch::zeros(num_vars, k))
-            .collect();
-        for (var, node, slot) in self.encoding().vars.params() {
-            match self.fixed_vars().get(&var) {
-                Some(&true) => {
-                    for (lane, (table, dtables)) in evaluated.iter().enumerate() {
-                        let value = table.value(node, slot);
-                        // Product rule, dg before g (see the scalar bind).
-                        for (dgs, dt) in dglobals.iter_mut().zip(dtables) {
-                            dgs[lane] = dgs[lane] * value + globals[lane] * dt.value(node, slot);
-                        }
-                        globals[lane] *= value;
-                    }
-                }
-                Some(&false) => {}
-                None => {
-                    for (lane, (table, dtables)) in evaluated.iter().enumerate() {
-                        weights.set_lane(var, lane, table.value(node, slot), C_ONE);
-                        for (t, dt) in tangents.iter_mut().zip(dtables) {
-                            t.set_lane(var, lane, dt.value(node, slot), C_ZERO);
-                        }
-                    }
-                }
-            }
-        }
-        let plans = tangents
-            .iter()
-            .map(|t| TangentPlanBatch::new(self.tape(), t))
-            .collect();
-        Ok(BoundKcBatchTangents {
-            bound: BoundKcBatch {
-                sim: self,
-                weights,
-                globals,
-                scratch: RefCell::new(None),
-                eval: RefCell::new(TapeEvaluator::new()),
-                last_query: RefCell::new(Vec::new()),
-                changed_vars: RefCell::new(Vec::new()),
-            },
-            dglobals,
-            plans,
+            buffers: QueryBuffers::new(),
         })
     }
 }
@@ -162,23 +83,10 @@ pub struct BoundKcBatch<'a> {
     sim: &'a KcSimulator,
     weights: AcWeightsBatch,
     globals: Vec<Complex>,
-    /// Reusable evidence buffer, cloned from the bound weights on first
-    /// query (see [`BoundKc`](crate::BoundKc)): queries write
-    /// query-variable evidence, evaluate, and restore.
-    scratch: RefCell<Option<AcWeightsBatch>>,
-    /// Persistent tape evaluator — one AC pass per basis state makes the
-    /// per-call value-buffer allocation measurable, so the lane-strided
-    /// buffers live here across queries.
-    eval: RefCell<TapeEvaluator>,
-    /// The previous amplitude query's assignment (empty = none yet):
-    /// consecutive batched amplitude queries — Gray-ordered wavefunction
-    /// sweeps, probability reconstructions, gradient lanes — differ in a
-    /// few evidence values (shared across lanes), so the next query
-    /// recomputes only the dirty cone of the changed variables, once per
-    /// batch instead of once per lane.
-    last_query: RefCell<Vec<usize>>,
-    /// Reusable changed-variable buffer for the batch delta pass.
-    changed_vars: RefCell<Vec<u32>>,
+    /// Evidence buffer, evaluator and delta state, as in
+    /// [`BoundKc`](crate::BoundKc): evidence is shared across lanes, so
+    /// each dirty cone is decoded once per batch instead of once per lane.
+    buffers: QueryBuffers<AcWeightsBatch>,
 }
 
 impl<'a> BoundKcBatch<'a> {
@@ -199,58 +107,20 @@ impl<'a> BoundKcBatch<'a> {
     ///
     /// Panics if `values` has the wrong arity or an out-of-domain value.
     pub fn amplitude_assignment(&self, values: &[usize]) -> Vec<Complex> {
-        let query = self.sim.query();
-        assert_eq!(values.len(), query.len(), "query arity mismatch");
-        let mut guard = self.scratch.borrow_mut();
-        let w = guard.get_or_insert_with(|| self.weights.clone());
-        let mut possible = true;
-        for (spec, &value) in query.iter().zip(values) {
-            assert!(value < spec.domain, "value {value} out of domain");
-            if !set_evidence_batch(w, spec, value) {
-                possible = false;
-                break;
-            }
-        }
-        let amps = if possible {
-            let tape = self.sim.tape();
-            let mut eval = self.eval.borrow_mut();
-            let mut last = self.last_query.borrow_mut();
-            let vals = if last.len() == values.len() {
-                // Recompute only the cone of the query variables whose
-                // evidence differs from the previous query — one decode
-                // per dirty slot updates every lane (falls back to a full
-                // batched pass internally if the cached buffer was
-                // invalidated by another kernel or lane count).
-                let mut changed = self.changed_vars.borrow_mut();
-                changed.clear();
-                for ((spec, &prev), &now) in query.iter().zip(last.iter()).zip(values) {
-                    if prev != now {
-                        for state in &spec.values {
-                            if let ValueState::Lit(l) = state {
-                                changed.push(l.unsigned_abs());
-                            }
-                        }
-                    }
-                }
-                eval.evaluate_batch_delta(tape, w, &changed)
-            } else {
-                eval.evaluate_batch(tape, w)
-            };
-            last.clear();
-            last.extend_from_slice(values);
-            self.globals
-                .iter()
-                .zip(vals)
-                .map(|(&g, &v)| g * v)
-                .collect()
-        } else {
-            vec![C_ZERO; self.lanes()]
-        };
-        // Restore the touched query variables from the pristine weights.
-        for &v in self.sim.query_lit_vars() {
-            w.copy_var_from(&self.weights, v);
-        }
-        amps
+        let tape = self.sim.tape();
+        self.buffers
+            .amplitude(self.sim, &self.weights, values, |eval, w, changed| {
+                let vals = match changed {
+                    Some(changed) => eval.evaluate_batch_delta(tape, w, changed),
+                    None => eval.evaluate_batch(tape, w),
+                };
+                self.globals
+                    .iter()
+                    .zip(vals)
+                    .map(|(&g, &v)| g * v)
+                    .collect()
+            })
+            .unwrap_or_else(|| vec![C_ZERO; self.lanes()])
     }
 
     /// The per-lane amplitude of output bitstring `outputs` (qubit 0 =
@@ -260,15 +130,7 @@ impl<'a> BoundKcBatch<'a> {
     ///
     /// Panics if `rvs` has the wrong arity.
     pub fn amplitude(&self, outputs: usize, rvs: &[usize]) -> Vec<Complex> {
-        let n = self.sim.num_outputs();
-        let mut values: Vec<usize> = (0..n).map(|i| (outputs >> (n - 1 - i)) & 1).collect();
-        assert_eq!(
-            rvs.len(),
-            self.sim.num_random_events(),
-            "random-event arity mismatch"
-        );
-        values.extend_from_slice(rvs);
-        self.amplitude_assignment(&values)
+        self.amplitude_assignment(&query_values(self.sim, outputs, rvs))
     }
 
     /// The full output wavefunction of every lane (noise-free circuits).
@@ -285,8 +147,7 @@ impl<'a> BoundKcBatch<'a> {
             "wavefunction is only defined for noise-free circuits"
         );
         let n = self.sim.num_outputs();
-        let dim = 1usize << n;
-        let mut out = vec![vec![C_ZERO; dim]; self.lanes()];
+        let mut out = vec![vec![C_ZERO; 1usize << n]; self.lanes()];
         let mut values = vec![0usize; n];
         // Gray-code order (see `BoundKc::wavefunction`): consecutive
         // queries differ in one output variable's evidence — shared across
@@ -294,35 +155,12 @@ impl<'a> BoundKcBatch<'a> {
         // basis state, decoded once for all lanes. Each amplitude is
         // bit-identical to an independent query; only the visit order
         // changes.
-        self.for_each_output_gray(&mut values, |this, values, x| {
-            for (wf, amp) in out.iter_mut().zip(this.amplitude_assignment(values)) {
+        for_each_output_gray(self.sim, &mut values, |values, x| {
+            for (wf, amp) in out.iter_mut().zip(self.amplitude_assignment(values)) {
                 wf[x] = amp;
             }
         });
         out
-    }
-
-    /// Enumerates all `2^n` output assignments in cone-ordered Gray-code
-    /// order (the scalar bound handle's order), calling `f(self, values,
-    /// x)` with `values[..n]` holding the bits of basis state `x`. Slots
-    /// past the outputs are left untouched.
-    fn for_each_output_gray(
-        &self,
-        values: &mut [usize],
-        mut f: impl FnMut(&Self, &[usize], usize),
-    ) {
-        let n = self.sim.num_outputs();
-        let order = self.sim.output_gray_order();
-        for g in 0..1usize << n {
-            let gc = g ^ (g >> 1);
-            let mut x = 0usize;
-            for (k, &oi) in order.iter().enumerate() {
-                let bit = (gc >> k) & 1;
-                values[oi] = bit;
-                x |= bit << (n - 1 - oi);
-            }
-            f(self, values, x);
-        }
     }
 
     /// Measurement probabilities of every output bitstring per lane:
@@ -330,18 +168,15 @@ impl<'a> BoundKcBatch<'a> {
     /// validation-scale, like the scalar variant.
     pub fn output_probabilities(&self) -> Vec<Vec<f64>> {
         let n = self.sim.num_outputs();
-        let dim = 1usize << n;
-        let mut probs = vec![vec![0.0; dim]; self.lanes()];
-        let rv_specs = &self.sim.query()[self.sim.num_outputs()..];
-        let domains: Vec<usize> = rv_specs.iter().map(|s| s.domain).collect();
+        let mut probs = vec![vec![0.0; 1usize << n]; self.lanes()];
         let mut values = vec![0usize; self.sim.query().len()];
-        crate::bound::for_each_rv_assignment(&domains, |rvs| {
+        for_each_rv_assignment(self.sim, |rvs| {
             values[n..].copy_from_slice(rvs);
             // Gray-code output order (see `wavefunctions`); per-x sums
             // still accumulate in the same random-event order, so each
             // probability is bitwise unchanged.
-            self.for_each_output_gray(&mut values, |this, values, x| {
-                for (row, amp) in probs.iter_mut().zip(this.amplitude_assignment(values)) {
+            for_each_output_gray(self.sim, &mut values, |values, x| {
+                for (row, amp) in probs.iter_mut().zip(self.amplitude_assignment(values)) {
                     row[x] += amp.norm_sqr();
                 }
             });
@@ -360,11 +195,10 @@ impl<'a> BoundKcBatch<'a> {
     pub fn expectations(&self, observable: &dyn Fn(usize) -> f64) -> Vec<f64> {
         let probs = if self.sim.num_random_events() == 0 {
             let n = self.sim.num_outputs();
-            let dim = 1usize << n;
-            let mut probs = vec![vec![0.0; dim]; self.lanes()];
+            let mut probs = vec![vec![0.0; 1usize << n]; self.lanes()];
             let mut values = vec![0usize; n];
-            self.for_each_output_gray(&mut values, |this, values, x| {
-                for (row, amp) in probs.iter_mut().zip(this.amplitude_assignment(values)) {
+            for_each_output_gray(self.sim, &mut values, |values, x| {
+                for (row, amp) in probs.iter_mut().zip(self.amplitude_assignment(values)) {
                     row[x] = amp.norm_sqr();
                 }
             });
@@ -384,158 +218,10 @@ impl<'a> BoundKcBatch<'a> {
     }
 }
 
-/// A compiled simulator bound to `k` parameter vectors **and** their
-/// per-lane weight tangents for a shared symbol list — the batched
-/// analytic-gradient handle produced by
-/// [`KcSimulator::bind_batch_with_tangents`].
-#[derive(Debug)]
-pub struct BoundKcBatchTangents<'a> {
-    bound: BoundKcBatch<'a>,
-    /// `d(global)/∂θ_s` per lane: `dglobals[symbol][lane]`.
-    dglobals: Vec<Vec<Complex>>,
-    /// One contraction plan per symbol, each spanning all lanes.
-    plans: Vec<TangentPlanBatch>,
-}
-
-impl<'a> BoundKcBatchTangents<'a> {
-    /// The underlying batched bound handle.
-    pub fn bound(&self) -> &BoundKcBatch<'a> {
-        &self.bound
-    }
-
-    /// Number of bound parameter vectors (lanes).
-    pub fn lanes(&self) -> usize {
-        self.bound.lanes()
-    }
-
-    /// Number of tangent symbols this handle differentiates against.
-    pub fn num_symbols(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Per-lane exact expectation and gradient of a diagonal observable:
-    /// `(values, grads)` with `grads[lane][symbol]`. One batched
-    /// upward+downward differentials pass per evidence assignment serves
-    /// every lane and every symbol. Lane `l` is bit-for-bit the scalar
-    /// [`BoundKcTangents::expectation_gradient`](crate::BoundKcTangents::expectation_gradient)
-    /// of that lane's binding: the per-lane zero-tangent skip in the
-    /// contraction kernel and the shared enumeration order reproduce the
-    /// scalar floating-point sequence exactly.
-    pub fn expectation_gradient(
-        &self,
-        observable: &dyn Fn(usize) -> f64,
-    ) -> (Vec<f64>, Vec<Vec<f64>>) {
-        let b = &self.bound;
-        let k = b.lanes();
-        if k == 0 {
-            return (Vec::new(), Vec::new());
-        }
-        let n = b.sim.num_outputs();
-        let dim = 1usize << n;
-        // Per-basis-state accumulators folded in natural order at the end,
-        // mirroring the scalar handle (and the `expectations` fold).
-        let mut probs = vec![vec![0.0; dim]; k];
-        let mut dprobs = vec![vec![vec![0.0; dim]; k]; self.plans.len()];
-        let mut contracted = vec![C_ZERO; k];
-        let mut values = vec![0usize; b.sim.query().len()];
-        let rv_specs = &b.sim.query()[n..];
-        let domains: Vec<usize> = rv_specs.iter().map(|s| s.domain).collect();
-        crate::bound::for_each_rv_assignment(&domains, |rvs| {
-            values[n..].copy_from_slice(rvs);
-            b.for_each_output_gray(&mut values, |b, values, x| {
-                let mut guard = b.scratch.borrow_mut();
-                let w = guard.get_or_insert_with(|| b.weights.clone());
-                let mut possible = true;
-                for (spec, &value) in b.sim.query().iter().zip(values) {
-                    if !set_evidence_batch(w, spec, value) {
-                        possible = false;
-                        break;
-                    }
-                }
-                if possible {
-                    let tape = b.sim.tape();
-                    let mut eval = b.eval.borrow_mut();
-                    eval.differentials_batch(tape, w);
-                    for (l, row) in probs.iter_mut().enumerate() {
-                        let amp = b.globals[l] * eval.value_lane(tape, l);
-                        row[x] += amp.norm_sqr();
-                    }
-                    for ((dp, plan), dgs) in dprobs.iter_mut().zip(&self.plans).zip(&self.dglobals)
-                    {
-                        eval.contract_tangent_lanes(plan, &mut contracted);
-                        for (l, row) in dp.iter_mut().enumerate() {
-                            let raw = eval.value_lane(tape, l);
-                            let amp = b.globals[l] * raw;
-                            let damp = dgs[l] * raw + b.globals[l] * contracted[l];
-                            row[x] += 2.0 * (amp.conj() * damp).re;
-                        }
-                    }
-                }
-                for &v in b.sim.query_lit_vars() {
-                    w.copy_var_from(&b.weights, v);
-                }
-            });
-        });
-        let energies = probs
-            .iter()
-            .map(|p| p.iter().enumerate().map(|(x, &p)| p * observable(x)).sum())
-            .collect();
-        let grads = (0..k)
-            .map(|l| {
-                dprobs
-                    .iter()
-                    .map(|dp| {
-                        dp[l]
-                            .iter()
-                            .enumerate()
-                            .map(|(x, &d)| d * observable(x))
-                            .sum()
-                    })
-                    .collect()
-            })
-            .collect();
-        (energies, grads)
-    }
-}
-
-/// Writes shared evidence `spec = value` into every lane of the weight
-/// batch — the batched analogue of the scalar `set_evidence`. Returns
-/// `false` if the value is impossible (forced false by unit resolution).
-fn set_evidence_batch(
-    w: &mut AcWeightsBatch,
-    spec: &crate::pipeline::QuerySpec,
-    value: usize,
-) -> bool {
-    if matches!(spec.values[value], ValueState::ForcedFalse) {
-        return false;
-    }
-    if spec.domain == 2 {
-        if let (ValueState::Lit(l0), ValueState::Lit(l1)) = (spec.values[0], spec.values[1]) {
-            debug_assert_eq!(l0, -l1, "binary node literals must be complementary");
-            let var = l1.unsigned_abs();
-            let (pos, neg) = if value == 1 {
-                (C_ONE, C_ZERO)
-            } else {
-                (C_ZERO, C_ONE)
-            };
-            w.set_all(var, pos, neg);
-        }
-        return true;
-    }
-    for (v, state) in spec.values.iter().enumerate() {
-        if let ValueState::Lit(lit) = state {
-            let var = lit.unsigned_abs();
-            let chosen = if v == value { C_ONE } else { C_ZERO };
-            w.set_all(var, chosen, C_ONE);
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::KcOptions;
+    use crate::pipeline::{KcOptions, ValueState};
     use qkc_circuit::{Circuit, Param};
 
     fn bits_eq(a: Complex, b: Complex) -> bool {
@@ -550,27 +236,52 @@ mod tests {
             .collect()
     }
 
+    /// Compiles `c` after asserting its last `idle` qubits are untouched
+    /// by any gate: unit resolution forces each to |0⟩, so its value 1 is
+    /// `ForcedFalse` and every basis state with one of the `idle` low bits
+    /// set is impossible.
+    fn compile_with_idle(c: &Circuit, idle: usize) -> KcSimulator {
+        let sim = KcSimulator::compile(c, &KcOptions::default());
+        let n = sim.num_outputs();
+        for q in n - idle..n {
+            assert!(
+                matches!(sim.query()[q].values[1], ValueState::ForcedFalse),
+                "qubit {q} should be idle"
+            );
+        }
+        sim
+    }
+
+    fn impossible(x: usize, idle: usize) -> bool {
+        x & ((1 << idle) - 1) != 0
+    }
+
     #[test]
     fn batched_wavefunctions_match_scalar_bind_bit_for_bit() {
-        let mut c = Circuit::new(3);
-        c.h(0)
-            .rx(1, Param::symbol("a"))
-            .cnot(0, 1)
-            .zz(1, 2, Param::symbol("b"))
-            .ry(2, Param::symbol("a"));
-        let sim = KcSimulator::compile(&c, &KcOptions::default());
-        for k in [1usize, 3, 8] {
-            let params = sweep_params(k);
-            let batch = sim.bind_batch(&params).unwrap();
-            assert_eq!(batch.lanes(), k);
-            let wfs = batch.wavefunctions();
-            for (lane, p) in params.iter().enumerate() {
-                let scalar = sim.bind(p).unwrap().wavefunction();
-                for (x, (&got, &want)) in wfs[lane].iter().zip(&scalar).enumerate() {
-                    assert!(
-                        bits_eq(got, want),
-                        "k={k} lane {lane} amp {x}: {got} vs {want}"
-                    );
+        for idle in [0usize, 1] {
+            let mut c = Circuit::new(3 + idle);
+            c.h(0)
+                .rx(1, Param::symbol("a"))
+                .cnot(0, 1)
+                .zz(1, 2, Param::symbol("b"))
+                .ry(2, Param::symbol("a"));
+            let sim = compile_with_idle(&c, idle);
+            for k in [1usize, 3, 8] {
+                let params = sweep_params(k);
+                let batch = sim.bind_batch(&params).unwrap();
+                assert_eq!(batch.lanes(), k);
+                let wfs = batch.wavefunctions();
+                for (lane, p) in params.iter().enumerate() {
+                    let scalar = sim.bind(p).unwrap().wavefunction();
+                    for (x, (&got, &want)) in wfs[lane].iter().zip(&scalar).enumerate() {
+                        assert!(
+                            bits_eq(got, want),
+                            "idle={idle} k={k} lane {lane} amp {x}: {got} vs {want}"
+                        );
+                        if impossible(x, idle) {
+                            assert!(bits_eq(got, C_ZERO), "idle={idle} lane {lane} amp {x}");
+                        }
+                    }
                 }
             }
         }
@@ -578,47 +289,61 @@ mod tests {
 
     #[test]
     fn batched_noisy_probabilities_match_scalar_bind_bit_for_bit() {
-        let mut c = Circuit::new(2);
-        c.rx(0, Param::symbol("a"))
-            .depolarize(0, 0.05)
-            .cnot(0, 1)
-            .rz(1, Param::symbol("b"));
-        let sim = KcSimulator::compile(&c, &KcOptions::default());
-        let params = sweep_params(4);
-        let batch = sim.bind_batch(&params).unwrap();
-        let probs = batch.output_probabilities();
-        for (lane, p) in params.iter().enumerate() {
-            let scalar = sim.bind(p).unwrap().output_probabilities();
-            for (x, (&got, &want)) in probs[lane].iter().zip(&scalar).enumerate() {
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "lane {lane} P({x}): {got} vs {want}"
-                );
+        for idle in [0usize, 1] {
+            let mut c = Circuit::new(2 + idle);
+            c.rx(0, Param::symbol("a"))
+                .depolarize(0, 0.05)
+                .cnot(0, 1)
+                .rz(1, Param::symbol("b"));
+            let sim = compile_with_idle(&c, idle);
+            let params = sweep_params(4);
+            let batch = sim.bind_batch(&params).unwrap();
+            let probs = batch.output_probabilities();
+            for (lane, p) in params.iter().enumerate() {
+                let scalar = sim.bind(p).unwrap().output_probabilities();
+                for (x, (&got, &want)) in probs[lane].iter().zip(&scalar).enumerate() {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "idle={idle} lane {lane} P({x}): {got} vs {want}"
+                    );
+                    if impossible(x, idle) {
+                        assert_eq!(got.to_bits(), 0, "idle={idle} lane {lane} P({x})");
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn batched_expectations_match_scalar_fold() {
-        let mut c = Circuit::new(2);
-        c.rx(0, Param::symbol("a")).cnot(0, 1);
-        let sim = KcSimulator::compile(&c, &KcOptions::default());
-        let params = sweep_params(3);
-        let batch = sim.bind_batch(&params).unwrap();
-        let obs = |bits: usize| bits as f64;
-        let got = batch.expectations(&obs);
-        for (lane, p) in params.iter().enumerate() {
-            let want: f64 = sim
-                .bind(p)
-                .unwrap()
-                .wavefunction()
-                .iter()
-                .map(|a| a.norm_sqr())
-                .enumerate()
-                .map(|(bits, p)| p * obs(bits))
-                .sum();
-            assert_eq!(got[lane].to_bits(), want.to_bits(), "lane {lane}");
+        for idle in [0usize, 1] {
+            let mut c = Circuit::new(2 + idle);
+            c.rx(0, Param::symbol("a")).cnot(0, 1);
+            let sim = compile_with_idle(&c, idle);
+            let params = sweep_params(3);
+            let batch = sim.bind_batch(&params).unwrap();
+            let obs = |bits: usize| bits as f64;
+            let got = batch.expectations(&obs);
+            for (lane, p) in params.iter().enumerate() {
+                let wf = sim.bind(p).unwrap().wavefunction();
+                let want: f64 = wf
+                    .iter()
+                    .map(|a| a.norm_sqr())
+                    .enumerate()
+                    .map(|(bits, p)| p * obs(bits))
+                    .sum();
+                assert_eq!(
+                    got[lane].to_bits(),
+                    want.to_bits(),
+                    "idle={idle} lane {lane}"
+                );
+                for (x, &amp) in wf.iter().enumerate() {
+                    if impossible(x, idle) {
+                        assert!(bits_eq(amp, C_ZERO), "idle={idle} lane {lane} amp {x}");
+                    }
+                }
+            }
         }
     }
 

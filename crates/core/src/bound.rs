@@ -4,16 +4,32 @@
 //! arithmetic circuit is fixed; only literal weights (and the global factor
 //! contributed by unit-resolved parameter variables) are recomputed.
 
-use crate::pipeline::{KcSimulator, ValueState};
+use crate::pipeline::{KcSimulator, QuerySpec, ValueState};
+use qkc_bayesnet::NodeId;
 use qkc_circuit::{ParamMap, UnboundParam};
 use qkc_knowledge::{
     AcWeights, AcWeightsBatch, DiffCone, GibbsOptions, GibbsSampler, GibbsStats, Nnf, QueryVar,
-    TangentPlan, TapeEvaluator,
+    TangentPlan, TapeDifferentials, TapeEvaluator,
 };
 use qkc_math::{CMatrix, Complex, C_ONE, C_ZERO};
 use std::cell::RefCell;
 
 impl KcSimulator {
+    /// The parameter variables that carry a weight, as `(var, node, slot,
+    /// forced)`: `forced` marks a variable unit resolution removed as
+    /// forced true — it multiplies every model, so binds fold its value
+    /// into the global factor. Forced-false variables contribute
+    /// `w(¬P) = 1` and are skipped; the rest land in the literal weights.
+    pub(crate) fn weighted_params(&self) -> impl Iterator<Item = (u32, NodeId, usize, bool)> + '_ {
+        self.encoding()
+            .vars
+            .params()
+            .filter_map(|(var, node, slot)| match self.fixed_vars().get(&var) {
+                Some(&false) => None,
+                fixed => Some((var, node, slot, fixed.is_some())),
+            })
+    }
+
     /// Binds parameter values, producing a query handle.
     ///
     /// # Errors
@@ -24,26 +40,15 @@ impl KcSimulator {
         let table = self.bayes_net().evaluate_weights(params)?;
         let mut weights = AcWeights::uniform(self.encoding().cnf.num_vars());
         let mut global = C_ONE;
-        for (var, node, slot) in self.encoding().vars.params() {
+        for (var, node, slot, forced) in self.weighted_params() {
             let value = table.value(node, slot);
-            match self.fixed_vars().get(&var) {
-                // Unit resolution removed the variable: a forced-true
-                // parameter multiplies every model, so it becomes a global
-                // factor; forced-false contributes w(¬P) = 1.
-                Some(&true) => global *= value,
-                Some(&false) => {}
-                None => weights.set(var, value, C_ONE),
+            if forced {
+                global *= value;
+            } else {
+                weights.set(var, value, C_ONE);
             }
         }
-        Ok(BoundKc {
-            sim: self,
-            weights,
-            global,
-            scratch: RefCell::new(None),
-            eval: RefCell::new(TapeEvaluator::new()),
-            last_query: RefCell::new(Vec::new()),
-            changed_vars: RefCell::new(Vec::new()),
-        })
+        Ok(BoundKc::new(self, weights, global))
     }
 
     /// Binds parameter values **with symbolic weight tangents**: alongside
@@ -78,25 +83,21 @@ impl KcSimulator {
         let mut dglobals = vec![C_ZERO; symbols.len()];
         let mut tangents: Vec<AcWeights> =
             symbols.iter().map(|_| AcWeights::zeros(num_vars)).collect();
-        for (var, node, slot) in self.encoding().vars.params() {
+        for (var, node, slot, forced) in self.weighted_params() {
             let value = table.value(node, slot);
-            match self.fixed_vars().get(&var) {
-                Some(&true) => {
-                    // Product rule through the running global factor:
-                    // d(g·v) = dg·v + g·dv — update dg before g.
-                    for (dg, dt) in dglobals.iter_mut().zip(&dtables) {
-                        *dg = *dg * value + global * dt.value(node, slot);
-                    }
-                    global *= value;
+            if forced {
+                // Product rule through the running global factor:
+                // d(g·v) = dg·v + g·dv — update dg before g.
+                for (dg, dt) in dglobals.iter_mut().zip(&dtables) {
+                    *dg = *dg * value + global * dt.value(node, slot);
                 }
-                Some(&false) => {}
-                None => {
-                    weights.set(var, value, C_ONE);
-                    // Only the positive literal carries the parameter:
-                    // w(¬P) = 1 always, so its tangent is zero.
-                    for (t, dt) in tangents.iter_mut().zip(&dtables) {
-                        t.set(var, dt.value(node, slot), C_ZERO);
-                    }
+                global *= value;
+            } else {
+                weights.set(var, value, C_ONE);
+                // Only the positive literal carries the parameter:
+                // w(¬P) = 1 always, so its tangent is zero.
+                for (t, dt) in tangents.iter_mut().zip(&dtables) {
+                    t.set(var, dt.value(node, slot), C_ZERO);
                 }
             }
         }
@@ -112,18 +113,145 @@ impl KcSimulator {
             plans.iter().flat_map(qkc_knowledge::TangentPlan::slots),
         );
         Ok(BoundKcTangents {
-            bound: BoundKc {
-                sim: self,
-                weights,
-                global,
-                scratch: RefCell::new(None),
-                eval: RefCell::new(TapeEvaluator::new()),
-                last_query: RefCell::new(Vec::new()),
-                changed_vars: RefCell::new(Vec::new()),
-            },
+            bound: BoundKc::new(self, weights, global),
             dglobals,
             plans,
             cone,
+        })
+    }
+}
+
+/// A weight container that query evidence is written into: one
+/// [`AcWeights`] vector, or every lane of an [`AcWeightsBatch`] alike.
+pub(crate) trait EvidenceWeights: Clone {
+    /// Sets both polarities of variable `var`.
+    fn set_var(&mut self, var: u32, pos: Complex, neg: Complex);
+    /// Copies both polarities of variable `var` back from `pristine`.
+    fn restore_var(&mut self, pristine: &Self, var: u32);
+}
+
+impl EvidenceWeights for AcWeights {
+    fn set_var(&mut self, var: u32, pos: Complex, neg: Complex) {
+        self.set(var, pos, neg);
+    }
+
+    fn restore_var(&mut self, pristine: &Self, var: u32) {
+        self.set(var, pristine.get(var as i32), pristine.get(-(var as i32)));
+    }
+}
+
+impl EvidenceWeights for AcWeightsBatch {
+    fn set_var(&mut self, var: u32, pos: Complex, neg: Complex) {
+        self.set_all(var, pos, neg);
+    }
+
+    fn restore_var(&mut self, pristine: &Self, var: u32) {
+        self.copy_var_from(pristine, var);
+    }
+}
+
+/// The state an amplitude-query handle keeps between queries, shared by
+/// the scalar [`BoundKc`] and the batched
+/// [`BoundKcBatch`](crate::BoundKcBatch).
+#[derive(Debug)]
+pub(crate) struct QueryBuffers<W> {
+    /// One reusable evidence buffer, cloned from the bound weights on the
+    /// first query: queries write query-variable evidence here and
+    /// restore it afterwards, instead of cloning the full weights per
+    /// query (`output_probabilities` and `density_matrix` issue O(4ⁿ) of
+    /// them). Lazy so query-free binds (raw sweep re-binding) pay nothing.
+    scratch: RefCell<Option<W>>,
+    /// Persistent tape evaluator: value/partial buffers are allocated on
+    /// the first query and reused by every subsequent one (zero
+    /// allocations per amplitude after warmup).
+    eval: RefCell<TapeEvaluator>,
+    /// The previous amplitude query's assignment (empty = none yet):
+    /// consecutive amplitude queries — Gray-ordered wavefunction sweeps,
+    /// probability reconstructions — differ in a few evidence values
+    /// (shared across lanes), so the next query recomputes only the cone
+    /// of the variables that changed (bit-for-bit equal to a full pass).
+    last_query: RefCell<Vec<usize>>,
+    /// Reusable changed-variable buffer for the delta pass.
+    changed_vars: RefCell<Vec<u32>>,
+}
+
+impl<W: EvidenceWeights> QueryBuffers<W> {
+    pub(crate) fn new() -> Self {
+        Self {
+            scratch: RefCell::new(None),
+            eval: RefCell::new(TapeEvaluator::new()),
+            last_query: RefCell::new(Vec::new()),
+            changed_vars: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// Writes the full query assignment `values` ([`KcSimulator::query`]
+    /// order) as evidence into the scratch copy of `pristine`, runs
+    /// `pass` on it, and restores the query variables. Returns `None`,
+    /// without running `pass`, if some value is impossible.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` has the wrong arity or an out-of-domain value.
+    fn with_evidence<R>(
+        &self,
+        sim: &KcSimulator,
+        pristine: &W,
+        values: &[usize],
+        pass: impl FnOnce(&mut TapeEvaluator, &W) -> R,
+    ) -> Option<R> {
+        let query = sim.query();
+        assert_eq!(values.len(), query.len(), "query arity mismatch");
+        let mut guard = self.scratch.borrow_mut();
+        let w = guard.get_or_insert_with(|| pristine.clone());
+        let mut possible = true;
+        for (spec, &value) in query.iter().zip(values) {
+            // Every value is range-checked, also past an impossible one.
+            assert!(value < spec.domain, "value {value} out of domain");
+            possible =
+                possible && write_evidence(spec, value, |var, pos, neg| w.set_var(var, pos, neg));
+        }
+        let out = possible.then(|| pass(&mut self.eval.borrow_mut(), w));
+        for &v in sim.query_lit_vars() {
+            w.restore_var(pristine, v);
+        }
+        out
+    }
+
+    /// The amplitude-query core: [`with_evidence`](Self::with_evidence)
+    /// running `pass(eval, weights, changed)`, where `changed` lists the
+    /// variables whose evidence differs from the previous amplitude query
+    /// — `None` before the first one. `pass` recomputes only the cone of
+    /// `changed` (the delta kernels fall back to a full pass internally
+    /// if another kernel invalidated the cached buffer).
+    pub(crate) fn amplitude<R>(
+        &self,
+        sim: &KcSimulator,
+        pristine: &W,
+        values: &[usize],
+        pass: impl FnOnce(&mut TapeEvaluator, &W, Option<&[u32]>) -> R,
+    ) -> Option<R> {
+        self.with_evidence(sim, pristine, values, |eval, w| {
+            let mut last = self.last_query.borrow_mut();
+            let out = if last.len() == values.len() {
+                let mut changed = self.changed_vars.borrow_mut();
+                changed.clear();
+                for ((spec, &prev), &now) in sim.query().iter().zip(last.iter()).zip(values) {
+                    if prev != now {
+                        for state in &spec.values {
+                            if let ValueState::Lit(l) = state {
+                                changed.push(l.unsigned_abs());
+                            }
+                        }
+                    }
+                }
+                pass(eval, w, Some(&changed))
+            } else {
+                pass(eval, w, None)
+            };
+            last.clear();
+            last.extend_from_slice(values);
+            out
         })
     }
 }
@@ -134,28 +262,19 @@ pub struct BoundKc<'a> {
     sim: &'a KcSimulator,
     weights: AcWeights,
     global: Complex,
-    /// One reusable evidence buffer, cloned from the bound weights on the
-    /// first query: amplitude queries write query-variable evidence here
-    /// and restore it afterwards, instead of cloning the full weight
-    /// vector per query (`output_probabilities` and `density_matrix`
-    /// issue O(4ⁿ) of them). Lazy so query-free binds (raw sweep
-    /// re-binding) pay nothing.
-    scratch: RefCell<Option<AcWeights>>,
-    /// Persistent tape evaluator: value/partial buffers are allocated on
-    /// the first query and reused by every subsequent one (zero
-    /// allocations per amplitude after warmup).
-    eval: RefCell<TapeEvaluator>,
-    /// The previous amplitude query's assignment (empty = none yet):
-    /// consecutive amplitude queries — wavefunction sweeps, probability
-    /// reconstructions — differ in a few evidence values, so the next
-    /// query recomputes only the cone of the variables that changed
-    /// (bit-for-bit equal to a full pass).
-    last_query: RefCell<Vec<usize>>,
-    /// Reusable changed-variable buffer for the delta pass.
-    changed_vars: RefCell<Vec<u32>>,
+    buffers: QueryBuffers<AcWeights>,
 }
 
 impl<'a> BoundKc<'a> {
+    fn new(sim: &'a KcSimulator, weights: AcWeights, global: Complex) -> Self {
+        Self {
+            sim,
+            weights,
+            global,
+            buffers: QueryBuffers::new(),
+        }
+    }
+
     /// The underlying compiled simulator.
     pub fn simulator(&self) -> &KcSimulator {
         self.sim
@@ -168,50 +287,16 @@ impl<'a> BoundKc<'a> {
     ///
     /// Panics if `values` has the wrong arity or an out-of-domain value.
     pub fn amplitude_assignment(&self, values: &[usize]) -> Complex {
-        let query = self.sim.query();
-        assert_eq!(values.len(), query.len(), "query arity mismatch");
-        let mut guard = self.scratch.borrow_mut();
-        let w = guard.get_or_insert_with(|| self.weights.clone());
-        let mut possible = true;
-        for (spec, &value) in query.iter().zip(values) {
-            assert!(value < spec.domain, "value {value} out of domain");
-            if !set_evidence(w, spec, value) {
-                possible = false;
-                break;
-            }
-        }
-        let amp = if possible {
-            let tape = self.sim.tape();
-            let mut eval = self.eval.borrow_mut();
-            let mut last = self.last_query.borrow_mut();
-            let raw = if last.len() == values.len() {
-                // Recompute only the cone of the query variables whose
-                // evidence differs from the previous amplitude query
-                // (falls back to a full pass internally if the cached
-                // buffer was invalidated by another kernel).
-                let mut changed = self.changed_vars.borrow_mut();
-                changed.clear();
-                for ((spec, &prev), &now) in query.iter().zip(last.iter()).zip(values) {
-                    if prev != now {
-                        for state in &spec.values {
-                            if let ValueState::Lit(l) = state {
-                                changed.push(l.unsigned_abs());
-                            }
-                        }
-                    }
-                }
-                eval.evaluate_delta(tape, w, &changed)
-            } else {
-                eval.evaluate(tape, w)
-            };
-            last.clear();
-            last.extend_from_slice(values);
-            self.global * raw
-        } else {
-            C_ZERO
-        };
-        self.restore_scratch(w);
-        amp
+        let tape = self.sim.tape();
+        self.buffers
+            .amplitude(self.sim, &self.weights, values, |eval, w, changed| {
+                let raw = match changed {
+                    Some(changed) => eval.evaluate_delta(tape, w, changed),
+                    None => eval.evaluate(tape, w),
+                };
+                self.global * raw
+            })
+            .unwrap_or(C_ZERO)
     }
 
     /// The enum-walk reference path for [`BoundKc::amplitude_assignment`]:
@@ -222,33 +307,11 @@ impl<'a> BoundKc<'a> {
     /// benchmarks; results are bit-for-bit equal to the tape path.
     #[doc(hidden)]
     pub fn amplitude_assignment_enum_walk(&self, nnf: &Nnf, values: &[usize]) -> Complex {
-        let query = self.sim.query();
-        assert_eq!(values.len(), query.len(), "query arity mismatch");
-        let mut guard = self.scratch.borrow_mut();
-        let w = guard.get_or_insert_with(|| self.weights.clone());
-        let mut possible = true;
-        for (spec, &value) in query.iter().zip(values) {
-            assert!(value < spec.domain, "value {value} out of domain");
-            if !set_evidence(w, spec, value) {
-                possible = false;
-                break;
-            }
-        }
-        let amp = if possible {
-            self.global * qkc_knowledge::evaluate(nnf, w)
-        } else {
-            C_ZERO
-        };
-        self.restore_scratch(w);
-        amp
-    }
-
-    /// Restores the touched query variables of the scratch buffer from the
-    /// pristine bound weights.
-    fn restore_scratch(&self, w: &mut AcWeights) {
-        for &v in self.sim.query_lit_vars() {
-            w.set(v, self.weights.get(v as i32), self.weights.get(-(v as i32)));
-        }
+        self.buffers
+            .with_evidence(self.sim, &self.weights, values, |_, w| {
+                self.global * qkc_knowledge::evaluate(nnf, w)
+            })
+            .unwrap_or(C_ZERO)
     }
 
     /// The amplitude of output bitstring `outputs` (qubit 0 = most
@@ -258,15 +321,7 @@ impl<'a> BoundKc<'a> {
     ///
     /// Panics if `rvs` has the wrong arity.
     pub fn amplitude(&self, outputs: usize, rvs: &[usize]) -> Complex {
-        let n = self.sim.num_outputs();
-        let mut values: Vec<usize> = (0..n).map(|i| (outputs >> (n - 1 - i)) & 1).collect();
-        assert_eq!(
-            rvs.len(),
-            self.sim.num_random_events(),
-            "random-event arity mismatch"
-        );
-        values.extend_from_slice(rvs);
-        self.amplitude_assignment(&values)
+        self.amplitude_assignment(&query_values(self.sim, outputs, rvs))
     }
 
     /// The full output wavefunction of a noise-free circuit.
@@ -280,43 +335,18 @@ impl<'a> BoundKc<'a> {
             0,
             "wavefunction is only defined for noise-free circuits"
         );
-        let n = self.sim.num_outputs();
-        let dim = 1usize << n;
-        let mut out = vec![C_ZERO; dim];
-        let mut values = vec![0usize; n];
+        let mut out = vec![C_ZERO; 1usize << self.sim.num_outputs()];
+        let mut values = vec![0usize; self.sim.num_outputs()];
         // Gray-code order: consecutive queries differ in one output
         // variable's evidence, so the tape evaluator's delta kernel
         // recomputes a single cone per amplitude — and the Gray bits are
         // assigned so the most-frequently-flipped one has the smallest
         // cone. Each amplitude is bit-identical to an independent query;
         // only the visit order changes.
-        self.for_each_output_gray(&mut values, |this, values, x| {
-            out[x] = this.amplitude_assignment(values);
+        for_each_output_gray(self.sim, &mut values, |values, x| {
+            out[x] = self.amplitude_assignment(values);
         });
         out
-    }
-
-    /// Enumerates all `2^n` output assignments in cone-ordered Gray-code
-    /// order, calling `f(self, values, x)` with `values[..n]` holding the
-    /// bits of basis state `x`. `values` must have the full query arity;
-    /// slots past the outputs are left untouched.
-    fn for_each_output_gray(
-        &self,
-        values: &mut [usize],
-        mut f: impl FnMut(&Self, &[usize], usize),
-    ) {
-        let n = self.sim.num_outputs();
-        let order = self.sim.output_gray_order();
-        for g in 0..1usize << n {
-            let gc = g ^ (g >> 1);
-            let mut x = 0usize;
-            for (k, &oi) in order.iter().enumerate() {
-                let bit = (gc >> k) & 1;
-                values[oi] = bit;
-                x |= bit << (n - 1 - oi);
-            }
-            f(self, values, x);
-        }
     }
 
     /// Measurement probabilities of every output bitstring:
@@ -324,16 +354,15 @@ impl<'a> BoundKc<'a> {
     /// validation on small circuits.
     pub fn output_probabilities(&self) -> Vec<f64> {
         let n = self.sim.num_outputs();
-        let dim = 1usize << n;
-        let mut probs = vec![0.0; dim];
+        let mut probs = vec![0.0; 1usize << n];
         let mut values = vec![0usize; self.sim.query().len()];
-        self.for_each_rv(|this, rvs| {
+        for_each_rv_assignment(self.sim, |rvs| {
             values[n..].copy_from_slice(rvs);
             // Gray-code output order (see `wavefunction`); per-x sums
             // still accumulate in the same random-event order, so each
             // probability is bitwise unchanged.
-            this.for_each_output_gray(&mut values, |this, values, x| {
-                probs[x] += this.amplitude_assignment(values).norm_sqr();
+            for_each_output_gray(self.sim, &mut values, |values, x| {
+                probs[x] += self.amplitude_assignment(values).norm_sqr();
             });
         });
         probs
@@ -347,12 +376,12 @@ impl<'a> BoundKc<'a> {
         let mut rho = CMatrix::zeros(dim, dim);
         let mut values = vec![0usize; self.sim.query().len()];
         let mut amps: Vec<Complex> = vec![C_ZERO; dim];
-        self.for_each_rv(|this, rvs| {
+        for_each_rv_assignment(self.sim, |rvs| {
             values[n..].copy_from_slice(rvs);
             // Gray-code order (see `wavefunction`); amplitudes land at
             // their natural index.
-            this.for_each_output_gray(&mut values, |this, values, x| {
-                amps[x] = this.amplitude_assignment(values);
+            for_each_output_gray(self.sim, &mut values, |values, x| {
+                amps[x] = self.amplitude_assignment(values);
             });
             for r in 0..dim {
                 for c in 0..dim {
@@ -363,35 +392,27 @@ impl<'a> BoundKc<'a> {
         rho
     }
 
-    fn for_each_rv(&self, mut f: impl FnMut(&Self, &[usize])) {
-        let rv_specs = &self.sim.query()[self.sim.num_outputs()..];
-        let domains: Vec<usize> = rv_specs.iter().map(|s| s.domain).collect();
-        for_each_rv_assignment(&domains, |rvs| f(self, rvs));
-    }
-
     /// Runs one upward+downward pass with evidence set to `(outputs, rvs)`
     /// and returns an owned differentials snapshot (used by sensitivity
-    /// queries, which hold results past the evaluator borrow).
+    /// queries, which hold results past the evaluator borrow). `None` if
+    /// the assignment is impossible: every derivative of its identically
+    /// zero amplitude is zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rvs` has the wrong arity.
     pub(crate) fn differentials_for(
         &self,
         outputs: usize,
         rvs: &[usize],
-    ) -> qkc_knowledge::TapeDifferentials<'a> {
-        let n = self.sim.num_outputs();
-        let mut values: Vec<usize> = (0..n).map(|i| (outputs >> (n - 1 - i)) & 1).collect();
-        values.extend_from_slice(rvs);
-        let query = self.sim.query();
-        let mut guard = self.scratch.borrow_mut();
-        let w = guard.get_or_insert_with(|| self.weights.clone());
-        for (spec, &value) in query.iter().zip(&values) {
-            set_evidence(w, spec, value);
-        }
+    ) -> Option<TapeDifferentials<'a>> {
         let tape = self.sim.tape();
-        let mut eval = self.eval.borrow_mut();
-        let value = eval.differentials(tape, w);
-        let diffs = eval.take_differentials(tape, value);
-        self.restore_scratch(w);
-        diffs
+        let values = query_values(self.sim, outputs, rvs);
+        self.buffers
+            .with_evidence(self.sim, &self.weights, &values, |eval, w| {
+                let value = eval.differentials(tape, w);
+                eval.take_differentials(tape, value)
+            })
     }
 
     /// The global factor from unit-resolved parameters.
@@ -496,95 +517,74 @@ impl<'a> BoundKcTangents<'a> {
     /// changes visit grouping, not any accumulated value.
     pub fn expectation_gradient(&self, observable: &dyn Fn(usize) -> f64) -> (f64, Vec<f64>) {
         let b = &self.bound;
-        let n = b.sim.num_outputs();
-        let ns = self.plans.len();
-        let dim = 1usize << n;
+        let sim = b.sim;
+        let dim = 1usize << sim.num_outputs();
         // 32 lanes balance per-slot sweep amortization against the L1
         // working set of the wide product nodes (arity×lanes rows).
         let k = dim.min(32);
         crate::batch::note_batch_width(k);
-        let query = b.sim.query();
-        let tape = b.sim.tape();
+        let query = sim.query();
+        let tape = sim.tape();
         // Every lane starts from the pristine bound weights; evidence
         // writes below touch only the query variables they change.
         let mut wb = AcWeightsBatch::uniform(b.weights.num_vars(), k);
         for v in 1..=b.weights.num_vars() as u32 {
             wb.set_all(v, b.weights.get(v as i32), b.weights.get(-(v as i32)));
         }
-        // opos[oi] = position of output oi in the Gray bit order, so each
-        // lane can decode its basis state without re-walking `order`.
-        let order = b.sim.output_gray_order();
-        let mut opos = vec![0usize; n];
-        for (j, &oi) in order.iter().enumerate() {
-            opos[oi] = j;
-        }
         // Per-basis-state accumulators, folded against the observable in
         // natural order at the end — the same shape as the probability
         // reconstructions, so the expectation value is bitwise identical
         // to the plain `expectations` fold.
         let mut probs = vec![0.0; dim];
-        let mut dprobs = vec![vec![0.0; dim]; ns];
+        let mut dprobs = vec![vec![0.0; dim]; self.plans.len()];
         // Last evidence value written into each lane, per query spec:
         // lanes revisit the same Gray positions every block, so most specs
         // are already correct and the delta cone stays small.
         let mut written: Vec<Vec<Option<usize>>> = vec![vec![None; query.len()]; k];
+        // Lanes whose assignment is impossible: their amplitude is zero,
+        // so they add nothing to any accumulator.
         let mut dead = vec![false; k];
         let mut changed: Vec<u32> = Vec::new();
         let mut xs = vec![0usize; k];
         let mut raws = vec![C_ZERO; k];
         let mut contracted = vec![C_ZERO; k];
         let mut first = true;
-        let mut eval = b.eval.borrow_mut();
-        let domains: Vec<usize> = query[n..].iter().map(|s| s.domain).collect();
-        for_each_rv_assignment(&domains, |rvs| {
-            for blk in 0..dim / k {
-                changed.clear();
-                dead.fill(false);
-                'lane: for l in 0..k {
-                    let g = blk * k + l;
-                    let gc = g ^ (g >> 1);
-                    let mut x = 0usize;
-                    let mut apply = |written: &mut Vec<Option<usize>>, s: usize, value: usize| {
-                        let spec = &query[s];
-                        // An impossible value has no literal to set: mark
-                        // the lane dead and leave its weights untouched
-                        // (so `written` stays truthful for later blocks).
-                        if matches!(spec.values[value], ValueState::ForcedFalse) {
-                            return false;
-                        }
-                        if written[s] != Some(value) {
-                            set_evidence_lane(&mut wb, spec, value, l);
-                            written[s] = Some(value);
-                            for state in &spec.values {
-                                if let ValueState::Lit(lit) = state {
-                                    changed.push(lit.unsigned_abs());
-                                }
-                            }
-                        }
-                        true
-                    };
-                    for (oi, &pos) in opos.iter().enumerate().take(n) {
-                        let bit = (gc >> pos) & 1;
-                        x |= bit << (n - 1 - oi);
-                        if !apply(&mut written[l], oi, bit) {
-                            dead[l] = true;
-                            continue 'lane;
-                        }
+        let mut lane = 0;
+        let mut values = vec![0usize; query.len()];
+        let mut eval = b.buffers.eval.borrow_mut();
+        for_each_rv_assignment(sim, |rvs| {
+            values[sim.num_outputs()..].copy_from_slice(rvs);
+            for_each_output_gray(sim, &mut values, |values, x| {
+                // Basis state `x` takes the next lane. An impossible value
+                // has no literal to set: the lane goes dead with its
+                // weights untouched, so `written` stays truthful.
+                let seen = &mut written[lane];
+                xs[lane] = x;
+                dead[lane] = !values.iter().enumerate().all(|(s, &value)| {
+                    if seen[s] == Some(value) {
+                        return true;
                     }
-                    xs[l] = x;
-                    for (s, &rv) in rvs.iter().enumerate() {
-                        if !apply(&mut written[l], n + s, rv) {
-                            dead[l] = true;
-                            continue 'lane;
-                        }
+                    let possible = write_evidence(&query[s], value, |var, pos, neg| {
+                        wb.set_lane(var, lane, pos, neg);
+                        changed.push(var);
+                    });
+                    if possible {
+                        seen[s] = Some(value);
                     }
+                    possible
+                });
+                lane += 1;
+                if lane < k {
+                    return;
                 }
+                lane = 0;
                 if first {
                     eval.differentials_cone_batch(tape, &wb, &self.cone);
                     first = false;
                 } else {
                     eval.differentials_cone_batch_delta(tape, &wb, &changed, &self.cone);
                 }
+                changed.clear();
                 for l in 0..k {
                     if dead[l] {
                         continue;
@@ -603,7 +603,7 @@ impl<'a> BoundKcTangents<'a> {
                         dp[xs[l]] += 2.0 * (amp.conj() * damp).re;
                     }
                 }
-            }
+            });
         });
         let energy = probs
             .iter()
@@ -618,10 +618,57 @@ impl<'a> BoundKcTangents<'a> {
     }
 }
 
-/// Calls `f` with every assignment of the random-event domains, in
-/// odometer order (first domain fastest) — the enumeration order both the
-/// scalar and batched probability reconstructions share.
-pub(crate) fn for_each_rv_assignment(domains: &[usize], mut f: impl FnMut(&[usize])) {
+/// The full query assignment of output bitstring `outputs` (qubit 0 = most
+/// significant bit) with random events `rvs` (circuit order), in
+/// [`KcSimulator::query`] order.
+///
+/// # Panics
+///
+/// Panics if `rvs` has the wrong arity.
+pub(crate) fn query_values(sim: &KcSimulator, outputs: usize, rvs: &[usize]) -> Vec<usize> {
+    assert_eq!(
+        rvs.len(),
+        sim.num_random_events(),
+        "random-event arity mismatch"
+    );
+    let n = sim.num_outputs();
+    let mut values: Vec<usize> = (0..n).map(|i| (outputs >> (n - 1 - i)) & 1).collect();
+    values.extend_from_slice(rvs);
+    values
+}
+
+/// Enumerates all `2^n` output assignments in cone-ordered Gray-code
+/// order, calling `f(values, x)` with `values[..n]` holding the bits of
+/// basis state `x`: consecutive calls differ in one output, and the
+/// most-frequently-flipped one has the smallest cone. `values` must have
+/// the full query arity; slots past the outputs are left untouched.
+pub(crate) fn for_each_output_gray(
+    sim: &KcSimulator,
+    values: &mut [usize],
+    mut f: impl FnMut(&[usize], usize),
+) {
+    let n = sim.num_outputs();
+    let order = sim.output_gray_order();
+    for g in 0..1usize << n {
+        let gc = g ^ (g >> 1);
+        let mut x = 0usize;
+        for (k, &oi) in order.iter().enumerate() {
+            let bit = (gc >> k) & 1;
+            values[oi] = bit;
+            x |= bit << (n - 1 - oi);
+        }
+        f(values, x);
+    }
+}
+
+/// Calls `f` with every assignment of the circuit's random events, in
+/// odometer order (first event fastest) — the enumeration order every
+/// probability reconstruction and diagnosis query shares.
+pub(crate) fn for_each_rv_assignment(sim: &KcSimulator, mut f: impl FnMut(&[usize])) {
+    let domains: Vec<usize> = sim.query()[sim.num_outputs()..]
+        .iter()
+        .map(|s| s.domain)
+        .collect();
     let mut rvs = vec![0usize; domains.len()];
     loop {
         f(&rvs);
@@ -640,9 +687,14 @@ pub(crate) fn for_each_rv_assignment(domains: &[usize], mut f: impl FnMut(&[usiz
     }
 }
 
-/// Writes evidence `spec = value` into the weight vector. Returns `false`
-/// if the value is impossible (forced false by unit resolution).
-fn set_evidence(w: &mut AcWeights, spec: &crate::pipeline::QuerySpec, value: usize) -> bool {
+/// Writes evidence `spec = value` through `set(var, w(+var), w(−var))` —
+/// the one evidence writer of every query path. Returns `false`, writing
+/// nothing, if the value is impossible (forced false by unit resolution).
+pub(crate) fn write_evidence(
+    spec: &QuerySpec,
+    value: usize,
+    mut set: impl FnMut(u32, Complex, Complex),
+) -> bool {
     if matches!(spec.values[value], ValueState::ForcedFalse) {
         return false;
     }
@@ -650,13 +702,12 @@ fn set_evidence(w: &mut AcWeights, spec: &crate::pipeline::QuerySpec, value: usi
     if spec.domain == 2 {
         if let (ValueState::Lit(l0), ValueState::Lit(l1)) = (spec.values[0], spec.values[1]) {
             debug_assert_eq!(l0, -l1, "binary node literals must be complementary");
-            let var = l1.unsigned_abs();
             let (pos, neg) = if value == 1 {
                 (C_ONE, C_ZERO)
             } else {
                 (C_ZERO, C_ONE)
             };
-            w.set(var, pos, neg);
+            set(l1.unsigned_abs(), pos, neg);
         }
         // Fully forced binary node: nothing to set; consistency was checked.
         return true;
@@ -665,42 +716,11 @@ fn set_evidence(w: &mut AcWeights, spec: &crate::pipeline::QuerySpec, value: usi
     // indicators 0, negative polarities 1.
     for (v, state) in spec.values.iter().enumerate() {
         if let ValueState::Lit(lit) = state {
-            let var = lit.unsigned_abs();
             let chosen = if v == value { C_ONE } else { C_ZERO };
-            w.set(var, chosen, C_ONE);
+            set(lit.unsigned_abs(), chosen, C_ONE);
         }
     }
     true
-}
-
-/// Lane-local [`set_evidence`] for batched gradient passes. The caller has
-/// already rejected `ForcedFalse` values.
-fn set_evidence_lane(
-    wb: &mut AcWeightsBatch,
-    spec: &crate::pipeline::QuerySpec,
-    value: usize,
-    lane: usize,
-) {
-    if spec.domain == 2 {
-        if let (ValueState::Lit(l0), ValueState::Lit(l1)) = (spec.values[0], spec.values[1]) {
-            debug_assert_eq!(l0, -l1, "binary node literals must be complementary");
-            let var = l1.unsigned_abs();
-            let (pos, neg) = if value == 1 {
-                (C_ONE, C_ZERO)
-            } else {
-                (C_ZERO, C_ONE)
-            };
-            wb.set_lane(var, lane, pos, neg);
-        }
-        return;
-    }
-    for (v, state) in spec.values.iter().enumerate() {
-        if let ValueState::Lit(lit) = state {
-            let var = lit.unsigned_abs();
-            let chosen = if v == value { C_ONE } else { C_ZERO };
-            wb.set_lane(var, lane, chosen, C_ONE);
-        }
-    }
 }
 
 /// A Gibbs sampler with query-variable value mapping back to circuit

@@ -9,9 +9,9 @@
 //! `|amp|²` (exactly the caveat the paper raises), so both queries work on
 //! squared magnitudes of the exact upward-pass amplitudes.
 
-use crate::bound::BoundKc;
+use crate::bound::{for_each_rv_assignment, BoundKc};
 use crate::pipeline::QuerySpec;
-use qkc_math::Complex;
+use qkc_math::{Complex, C_ZERO};
 
 /// One parameter-sensitivity record: how strongly an operation's amplitude
 /// entry influences a queried output amplitude.
@@ -35,15 +35,23 @@ impl<'a> BoundKc<'a> {
     /// The amplitude is multilinear in the weights, so `derivative × δ` is
     /// the exact first-order amplitude change if a single table entry's
     /// value moved by `δ`. Entries eliminated by unit resolution (global
-    /// factors) are not listed.
+    /// factors) are not listed. An impossible assignment (an output or
+    /// event value unit resolution ruled out) has amplitude identically
+    /// zero, so every listed derivative is zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rvs` has the wrong arity.
     pub fn parameter_sensitivities(&self, outputs: usize, rvs: &[usize]) -> Vec<Sensitivity> {
         let diffs = self.differentials_for(outputs, rvs);
+        let tape = self.simulator().tape();
         let mut out = Vec::new();
-        for (var, node, slot) in self.simulator().encoding().vars.params() {
+        for (var, node, _) in self.simulator().encoding().vars.params() {
             if self.simulator().fixed_vars().contains_key(&var) {
                 continue;
             }
-            if let Some(d) = diffs.wrt_lit(var as i32) {
+            if let Some(slot) = tape.lit_slot(var as i32) {
+                let d = diffs.as_ref().map_or(C_ZERO, |d| d.wrt_slot(slot));
                 let role_op = match self.simulator().bayes_net().node(node).role {
                     qkc_bayesnet::NodeRole::QubitState { op_index, .. }
                     | qkc_bayesnet::NodeRole::NoiseSelector { op_index, .. }
@@ -56,7 +64,6 @@ impl<'a> BoundKc<'a> {
                     derivative: self.global() * d,
                     weight: self.weight_of(var),
                 });
-                let _ = slot;
             }
         }
         out
@@ -80,24 +87,9 @@ impl<'a> BoundKc<'a> {
     /// Iterates every random-event assignment, calling `f` with the values
     /// and the resulting `|amp(outputs, K)|²`.
     fn for_each_explanation(&self, outputs: usize, mut f: impl FnMut(&[usize], f64)) {
-        let domains: Vec<usize> = self.rv_specs().iter().map(|s| s.domain).collect();
-        let mut rvs = vec![0usize; domains.len()];
-        loop {
-            let p = self.amplitude(outputs, &rvs).norm_sqr();
-            f(&rvs, p);
-            let mut i = 0;
-            loop {
-                if i == domains.len() {
-                    return;
-                }
-                rvs[i] += 1;
-                if rvs[i] < domains[i] {
-                    break;
-                }
-                rvs[i] = 0;
-                i += 1;
-            }
-        }
+        for_each_rv_assignment(self.simulator(), |rvs| {
+            f(rvs, self.amplitude(outputs, rvs).norm_sqr());
+        });
     }
 
     /// The most probable explanation of observing `outputs`: the noise /
@@ -199,7 +191,8 @@ impl<'a> BoundKc<'a> {
 #[cfg(test)]
 mod tests {
     use crate::{KcOptions, KcSimulator};
-    use qkc_circuit::{Circuit, ParamMap};
+    use qkc_circuit::{Circuit, Param, ParamMap};
+    use qkc_math::C_ZERO;
 
     /// Noisy Bell pair: observing |01⟩ or |10⟩ is impossible without a
     /// bit-flip; MPE must blame the flip branch.
@@ -293,6 +286,40 @@ mod tests {
             "d·w = {} vs amp = {amp}",
             target.derivative * target.weight
         );
+    }
+
+    #[test]
+    fn sensitivities_of_impossible_assignments_are_zero() {
+        // Qubit 1 is never touched, so unit resolution rules out its
+        // value 1: amp(|01>) is identically zero, and so is every
+        // derivative of it — not the derivatives of |00>.
+        let mut c = Circuit::new(2);
+        c.rx(0, Param::symbol("a")).ry(0, Param::symbol("b"));
+        let sim = KcSimulator::compile(&c, &KcOptions::default());
+        let bound = sim
+            .bind(&ParamMap::from_pairs([("a", 0.6), ("b", -1.1)]))
+            .unwrap();
+        assert_eq!(bound.amplitude(0b01, &[]), C_ZERO);
+        let possible = bound.parameter_sensitivities(0b00, &[]);
+        assert!(possible.iter().any(|s| s.derivative != C_ZERO));
+        let impossible = bound.parameter_sensitivities(0b01, &[]);
+        assert_eq!(impossible.len(), possible.len());
+        for (got, same) in impossible.iter().zip(&possible) {
+            assert_eq!(got.derivative, C_ZERO, "{}", got.node_label);
+            assert_eq!(got.node_label, same.node_label);
+            assert_eq!(got.weight, same.weight);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "random-event arity mismatch")]
+    fn sensitivities_reject_wrong_random_event_arity() {
+        // One depolarizing event: omitting it would silently marginalize.
+        let mut c = Circuit::new(1);
+        c.rx(0, Param::symbol("a")).depolarize(0, 0.1);
+        let sim = KcSimulator::compile(&c, &KcOptions::default());
+        let bound = sim.bind(&ParamMap::from_pairs([("a", 0.6)])).unwrap();
+        bound.parameter_sensitivities(0, &[]);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use crate::lanes::{blocks_for, Lane, LaneBlock, LANE_WIDTH};
 use crate::tape::LaneWeights;
 use qkc_cnf::Lit;
-use qkc_math::{Complex, C_ONE, C_ZERO};
+use qkc_math::{Complex, C_ONE};
 
 /// Literal weights for `k` bindings in lane-blocked split-plane layout:
 /// for each weight slot (row), `⌈k/W⌉` [`LaneBlock`]s of `W` lanes.
@@ -44,16 +44,17 @@ pub struct AcWeightsBatch {
 }
 
 impl AcWeightsBatch {
-    fn filled(num_vars: usize, lanes: usize, live: Complex) -> Self {
+    /// All-ones weights over `num_vars` variables and `lanes` bindings.
+    pub fn uniform(num_vars: usize, lanes: usize) -> Self {
         let nb = blocks_for(lanes);
         let slots = if lanes == 0 { 0 } else { 2 * (num_vars + 1) };
-        let mut blocks = vec![LaneBlock::splat(live); slots * nb];
+        let mut blocks = vec![LaneBlock::ONE; slots * nb];
         if !lanes.is_multiple_of(LANE_WIDTH) {
             // Ragged batch: the trailing block of every row carries live
             // lanes only in its head; dead lanes hold exact zeros.
             let mut tail = LaneBlock::ZERO;
             for w in 0..lanes % LANE_WIDTH {
-                tail.set(w, live);
+                tail.set(w, C_ONE);
             }
             for s in 0..slots {
                 blocks[s * nb + nb - 1] = tail;
@@ -64,18 +65,6 @@ impl AcWeightsBatch {
             lanes,
             num_vars: if lanes == 0 { 0 } else { num_vars },
         }
-    }
-
-    /// All-ones weights over `num_vars` variables and `lanes` bindings.
-    pub fn uniform(num_vars: usize, lanes: usize) -> Self {
-        Self::filled(num_vars, lanes, C_ONE)
-    }
-
-    /// All-zeros weights over `num_vars` variables and `lanes` bindings —
-    /// the starting point for per-lane tangent vectors (see
-    /// [`AcWeights::zeros`](crate::AcWeights::zeros)).
-    pub fn zeros(num_vars: usize, lanes: usize) -> Self {
-        Self::filled(num_vars, lanes, C_ZERO)
     }
 
     /// Number of lanes (bindings) per variable.
@@ -198,9 +187,10 @@ mod tests {
     use crate::compiler::{compile, CompileOptions};
     use crate::evaluate::{evaluate, evaluate_with_differentials, AcWeights};
     use crate::nnf::Nnf;
-    use crate::tape::{AcTape, TapeEvaluator};
+    use crate::tape::{AcTape, DiffCone, TapeEvaluator};
     use crate::transform::smooth;
     use qkc_cnf::Cnf;
+    use qkc_math::C_ZERO;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -290,6 +280,12 @@ mod tests {
         }
     }
 
+    /// A cone seeded with every literal slot: the batched cone pass then
+    /// leaves valid partials at every literal.
+    fn literal_cone(tape: &AcTape) -> DiffCone {
+        DiffCone::new(tape, tape.lit_slots().iter().map(|&(_, slot)| slot))
+    }
+
     /// Asserts every lane of the evaluator's last batched differential
     /// pass equals the scalar enum-walk differentials of its weights.
     fn assert_lanes_match_scalar(
@@ -324,10 +320,11 @@ mod tests {
         let nnf = test_nnf();
         let tape = AcTape::lower(&nnf);
         let mut eval = TapeEvaluator::new();
+        let cone = literal_cone(&tape);
         let mut rng = StdRng::seed_from_u64(23);
         for k in [1usize, 5, LANE_WIDTH, LANE_WIDTH + 1, 2 * LANE_WIDTH + 3] {
             let lanes: Vec<AcWeights> = (0..k).map(|_| random_weights(3, &mut rng)).collect();
-            eval.differentials_batch(&tape, &batch_of(&lanes));
+            eval.differentials_cone_batch(&tape, &batch_of(&lanes), &cone);
             assert_lanes_match_scalar(&nnf, &tape, &eval, &lanes);
         }
     }
@@ -344,7 +341,7 @@ mod tests {
         w.set(3, C_ONE, C_ZERO);
         let lanes = [w.clone(), w];
         let mut eval = TapeEvaluator::new();
-        eval.differentials_batch(&tape, &batch_of(&lanes));
+        eval.differentials_cone_batch(&tape, &batch_of(&lanes), &literal_cone(&tape));
         assert_lanes_match_scalar(&nnf, &tape, &eval, &lanes);
     }
 

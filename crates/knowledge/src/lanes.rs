@@ -104,10 +104,6 @@ pub trait Lane: Copy + std::fmt::Debug {
     /// add round separately (two ops, never an FMA).
     fn add_mul(&mut self, a: &Self, b: &Self);
 
-    /// `self += a * b` in lanes where `p` is nonzero (a zero-skip as a
-    /// select).
-    fn add_mul_where(&mut self, p: &Self, a: &Self, b: &Self);
-
     /// Whether every lane is numerically zero (`== C_ZERO`; sign of zero
     /// is ignored, matching the scalar comparison).
     fn all_zero(&self) -> bool;
@@ -173,13 +169,6 @@ impl Lane for Complex {
     #[inline(always)]
     fn add_mul(&mut self, a: &Self, b: &Self) {
         *self += *a * *b;
-    }
-
-    #[inline(always)]
-    fn add_mul_where(&mut self, p: &Self, a: &Self, b: &Self) {
-        if !p.all_zero() {
-            *self += *a * *b;
-        }
     }
 
     /// `== C_ZERO`, evaluated without a short-circuit so that repeated
@@ -304,17 +293,6 @@ impl<const W: usize> Lane for LaneBlock<W> {
     }
 
     #[inline(always)]
-    fn add_mul_where(&mut self, p: &Self, a: &Self, b: &Self) {
-        for w in 0..W {
-            let skip = p.re[w] == 0.0 && p.im[w] == 0.0;
-            let re = self.re[w] + (a.re[w] * b.re[w] - a.im[w] * b.im[w]);
-            let im = self.im[w] + (a.re[w] * b.im[w] + a.im[w] * b.re[w]);
-            self.re[w] = if skip { self.re[w] } else { re };
-            self.im[w] = if skip { self.im[w] } else { im };
-        }
-    }
-
-    #[inline(always)]
     fn all_zero(&self) -> bool {
         let mut zero = true;
         for w in 0..W {
@@ -367,7 +345,6 @@ mod tests {
         for _ in 0..200 {
             let a = random_block(&mut rng);
             let b = random_block(&mut rng);
-            let p = random_block(&mut rng);
             let acc0 = random_block(&mut rng);
 
             let m = a.mul(&b);
@@ -382,11 +359,9 @@ mod tests {
             aa.add_assign(&b);
             let mut am = acc0;
             am.add_mul(&a, &b);
-            let mut amw = acc0;
-            amw.add_mul_where(&p, &a, &b);
 
             for w in 0..LANE_WIDTH {
-                let (x, y, pp, z) = (a.get(w), b.get(w), p.get(w), acc0.get(w));
+                let (x, y, z) = (a.get(w), b.get(w), acc0.get(w));
                 assert!(bits_eq(m.get(w), x * y));
                 assert!(bits_eq(ot.get(w), C_ONE * x));
                 assert!(bits_eq(ma.get(w), x * y));
@@ -395,15 +370,10 @@ mod tests {
                 assert!(bits_eq(sum.get(w), x + y));
                 assert!(bits_eq(aa.get(w), z + y));
                 assert!(bits_eq(am.get(w), z + x * y));
-                let want_amw = if pp != C_ZERO { z + x * y } else { z };
-                assert!(bits_eq(amw.get(w), want_amw));
                 // The width-1 instance is the same op on one lane.
                 let mut one = x;
                 one.mul_assign_sc(&y);
                 assert!(bits_eq(one, want_sc));
-                let mut one = z;
-                one.add_mul_where(&pp, &x, &y);
-                assert!(bits_eq(one, want_amw));
                 assert!(bits_eq(Complex::one_times(&x), C_ONE * x));
                 assert_eq!(x.all_zero(), x == C_ZERO);
             }

@@ -63,12 +63,11 @@ pub use lanes::{LaneBlock, LANE_WIDTH};
 pub use nnf::{Nnf, NnfBuilder, NnfId, NnfNode};
 pub use order::{compute_ranks, compute_ranks_balanced, VarOrder, DEFAULT_SEPARATOR_BALANCE};
 pub use tape::{
-    fnv1a as wire_checksum, AcTape, DiffCone, TangentPlan, TangentPlanBatch, TapeDecodeError,
-    TapeDifferentials, TapeEvaluator, TapeId, TapeOp, TapeOpKind,
-    WIRE_VERSION as TAPE_WIRE_VERSION,
+    fnv1a as wire_checksum, AcTape, DiffCone, TangentPlan, TapeDecodeError, TapeDifferentials,
+    TapeEvaluator, TapeId, TapeOp, TapeOpKind, WIRE_VERSION as TAPE_WIRE_VERSION,
 };
 pub use transform::{project_out, smooth};
 pub use verify::{
-    verify_tangent_plan, verify_tangent_plan_batch, verify_tape, verify_tape_bytes, Finding,
-    Severity, VerifyLevel, VerifyPass, VerifyReport,
+    verify_tangent_plan, verify_tape, verify_tape_bytes, Finding, Severity, VerifyLevel,
+    VerifyPass, VerifyReport,
 };

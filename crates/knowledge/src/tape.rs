@@ -903,47 +903,6 @@ impl TapeEvaluator {
         self.scalar.values[tape.root as usize]
     }
 
-    /// [`differentials`](TapeEvaluator::differentials) with the downward
-    /// half restricted to a precomputed ancestor cone: partials at every
-    /// cone slot (in particular the cone's seed slots) are bit-for-bit the
-    /// full pass's, while the often much larger rest of the tape is never
-    /// visited. Slots *outside* the cone keep stale partials — read the
-    /// result only through plans whose slots seeded the cone
-    /// ([`contract_tangent`](TapeEvaluator::contract_tangent)); the general
-    /// [`wrt_lit`](TapeEvaluator::wrt_lit) /
-    /// [`take_differentials`](TapeEvaluator::take_differentials) accessors
-    /// require a full pass.
-    pub fn differentials_cone(
-        &mut self,
-        tape: &AcTape,
-        weights: &AcWeights,
-        cone: &DiffCone,
-    ) -> Complex {
-        self.scalar.upward::<_, true>(tape, weights);
-        self.scalar.downward(tape, cone, 1);
-        self.scalar.values[tape.root as usize]
-    }
-
-    /// [`differentials_delta`](TapeEvaluator::differentials_delta) with the
-    /// downward half restricted to `cone` — the analytic-gradient hot loop.
-    /// A Gray-adjacent evidence flip pays one dirty-cone upward delta plus
-    /// one downward sweep over the tangent literals' ancestors, instead of
-    /// two full tape scans. Same partials-validity caveat as
-    /// [`differentials_cone`](TapeEvaluator::differentials_cone); same
-    /// full-pass fallback as
-    /// [`differentials_delta`](TapeEvaluator::differentials_delta).
-    pub fn differentials_cone_delta(
-        &mut self,
-        tape: &AcTape,
-        weights: &AcWeights,
-        changed_vars: &[u32],
-        cone: &DiffCone,
-    ) -> Complex {
-        self.scalar.delta::<_, true>(tape, weights, changed_vars);
-        self.scalar.downward(tape, cone, 1);
-        self.scalar.values[tape.root as usize]
-    }
-
     /// `∂f/∂w(lit)` from the most recent scalar
     /// [`differentials`](TapeEvaluator::differentials) pass: the amplitude
     /// of the same query with `lit`'s variable re-assigned to satisfy `lit`
@@ -1050,31 +1009,18 @@ impl TapeEvaluator {
         self.unpack_root(tape)
     }
 
-    /// Batched upward + downward pass: per-lane root values and partials.
-    /// Lane `l` matches the scalar differentials pass bit-for-bit (the
-    /// same kernel; a zero-partial lane adds exact zeros, which leave its
-    /// accumulators' bits unchanged). Read results through
-    /// [`value_lane`](TapeEvaluator::value_lane) /
-    /// [`wrt_lit_lane`](TapeEvaluator::wrt_lit_lane).
-    pub fn differentials_batch(&mut self, tape: &AcTape, weights: &AcWeightsBatch) {
-        if self.empty_batch(weights) {
-            return;
-        }
-        self.batch.upward::<_, true>(tape, weights);
-        self.batch
-            .downward(tape, &WholeTape(tape.ops.len()), weights.lanes());
-    }
-
-    /// Batched [`differentials_cone`](TapeEvaluator::differentials_cone):
-    /// lane-blocked full-product upward plus a cone-restricted downward.
-    /// Lane `l`'s partials at every cone slot are bit-for-bit the scalar
-    /// [`differentials_cone`](TapeEvaluator::differentials_cone)
-    /// of that lane's weights (hence bit-for-bit the full scalar
-    /// [`differentials`](TapeEvaluator::differentials) there). Read root
-    /// values through [`value_lane`](TapeEvaluator::value_lane) and
-    /// contractions through
-    /// [`contract_tangent_broadcast`](TapeEvaluator::contract_tangent_broadcast);
-    /// partials outside the cone are stale.
+    /// Batched differentials pass with the downward half restricted to a
+    /// precomputed ancestor cone: lane-blocked full-product upward plus a
+    /// downward sweep over the cone's slots only. Lane `l`'s partials at
+    /// every cone slot (in particular the cone's seed slots) are
+    /// bit-for-bit the full scalar
+    /// [`differentials`](TapeEvaluator::differentials) of that lane's
+    /// weights, while the often much larger rest of the tape is never
+    /// visited. Read root values through
+    /// [`value_lane`](TapeEvaluator::value_lane) and contractions through
+    /// [`contract_tangent_broadcast`](TapeEvaluator::contract_tangent_broadcast)
+    /// with plans whose slots seeded the cone; partials outside the cone
+    /// are stale.
     ///
     /// This is the analytic-gradient throughput kernel: lanes are
     /// *evidence assignments* (basis states) sharing one parameter
@@ -1121,10 +1067,11 @@ impl TapeEvaluator {
         self.batch.values[tape.root as usize * nb + lane / LANE_WIDTH].get(lane % LANE_WIDTH)
     }
 
-    /// `∂f/∂w(lit)` in lane `lane` from the most recent
-    /// [`differentials_batch`](TapeEvaluator::differentials_batch) pass.
-    #[inline]
-    pub fn wrt_lit_lane(&self, tape: &AcTape, lit: Lit, lane: usize) -> Option<Complex> {
+    /// `∂f/∂w(lit)` in lane `lane` from the most recent batched
+    /// differentials pass (stale outside its cone): the per-lane partial
+    /// read the kernel tests compare against the scalar reference.
+    #[cfg(test)]
+    pub(crate) fn wrt_lit_lane(&self, tape: &AcTape, lit: Lit, lane: usize) -> Option<Complex> {
         let nb = blocks_for(self.batch.partial_lanes);
         tape.lit_slot(lit).map(|s| {
             self.batch.partials[s as usize * nb + lane / LANE_WIDTH].get(lane % LANE_WIDTH)
@@ -1147,36 +1094,6 @@ impl TapeEvaluator {
         let mut acc = [C_ZERO];
         contract(&self.scalar.partials, plan, &mut acc);
         acc[0]
-    }
-
-    /// The `k`-lane analogue of
-    /// [`contract_tangent`](TapeEvaluator::contract_tangent) over the most
-    /// recent [`differentials_batch`](TapeEvaluator::differentials_batch)
-    /// pass: writes one contracted value per lane into `out`. Lane `l` is
-    /// bit-for-bit the scalar contraction of that lane's tangents (same
-    /// nonzero-tangent skip, same literal-order accumulation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the pass's lane count, or the
-    /// plan was built for a different lane count.
-    pub fn contract_tangent_lanes(&mut self, plan: &TangentPlanBatch, out: &mut [Complex]) {
-        let k = self.batch.partial_lanes;
-        assert_eq!(plan.lanes, k, "plan lane count mismatch");
-        assert_eq!(out.len(), k, "output lane count mismatch");
-        let nb = blocks_for(k);
-        let acc = grown(&mut self.batch.acc, nb);
-        acc.fill(LaneBlock::ZERO);
-        for (e, &slot) in plan.slots.iter().enumerate() {
-            let prow = &self.batch.partials[slot as usize * nb..slot as usize * nb + nb];
-            let trow = &plan.rows[e * nb..e * nb + nb];
-            for ((o, p), t) in acc.iter_mut().zip(prow).zip(trow) {
-                // Per-lane zero-tangent select: a lane's add sequence is
-                // exactly its scalar plan's (which filters zeros out).
-                o.add_mul_where(t, p, t);
-            }
-        }
-        unpack_row(acc, out);
     }
 
     /// [`contract_tangent`](TapeEvaluator::contract_tangent) against the
@@ -1760,7 +1677,7 @@ impl<'t> TapeDifferentials<'t> {
 /// which some target is reachable, targets included. Partial derivatives
 /// flow strictly downward (a slot's partial is fed only by its parents),
 /// so a downward sweep restricted to this cone
-/// ([`TapeEvaluator::differentials_cone`]) produces partials at the
+/// ([`TapeEvaluator::differentials_cone_batch`]) produces partials at the
 /// targets bit-for-bit equal to the full sweep's — every parent of a cone
 /// member is itself a cone member, so no contribution is lost — while the
 /// rest of the tape is never cleared or visited.
@@ -1878,59 +1795,6 @@ impl TangentPlan {
     /// True when no literal carries this symbol (the contraction is zero).
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-}
-
-/// The `k`-lane analogue of [`TangentPlan`]: keeps every literal whose
-/// tangent is nonzero in *any* lane, with the full tangent block row per
-/// kept slot (lane-blocked split-plane layout, dead remainder lanes zero).
-/// Consumed by [`TapeEvaluator::contract_tangent_lanes`], whose per-lane
-/// zero-select restores bit-identity with the scalar plan.
-#[derive(Debug, Clone, Default)]
-pub struct TangentPlanBatch {
-    slots: Vec<TapeId>,
-    rows: Vec<LaneBlock>,
-    lanes: usize,
-}
-
-impl TangentPlanBatch {
-    /// Builds a plan from a tangent batch laid out like [`AcWeightsBatch`].
-    pub fn new(tape: &AcTape, tangents: &AcWeightsBatch) -> Self {
-        let lanes = tangents.lanes();
-        let mut slots = Vec::new();
-        let mut rows = Vec::new();
-        for &(lit, slot) in tape.lit_slots() {
-            let row = tangents.row_blocks(lit);
-            // Dead remainder lanes are zero in the container, so an
-            // any-nonzero block test is exactly an any-live-lane test.
-            if row.iter().any(|b| !b.all_zero()) {
-                slots.push(slot);
-                rows.extend_from_slice(row);
-            }
-        }
-        Self { slots, rows, lanes }
-    }
-
-    /// Lane count the plan was built for.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Number of kept slots (literals nonzero in at least one lane).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The tape slots carrying a nonzero tangent in some lane, in plan
-    /// order — the batch analogue of [`TangentPlan::slots`], consumed by
-    /// the verifier's tangent-plan liveness pass.
-    pub fn slots(&self) -> impl Iterator<Item = TapeId> + '_ {
-        self.slots.iter().copied()
-    }
-
-    /// True when no lane carries this symbol.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 }
 
@@ -2106,15 +1970,22 @@ mod tests {
         batch
     }
 
+    /// A cone seeded with every literal slot: the batched cone pass then
+    /// leaves valid partials at every literal.
+    fn literal_cone(tape: &AcTape) -> DiffCone {
+        DiffCone::new(tape, tape.lit_slots().iter().map(|&(_, slot)| slot))
+    }
+
     fn bits(c: Option<Complex>) -> Option<(u64, u64)> {
         c.map(|c| (c.re.to_bits(), c.im.to_bits()))
     }
 
     #[test]
     fn batch_kernels_match_scalar_enum_walk_bit_for_bit() {
-        // Every batched kernel — upward, delta, full downward, cone
-        // downward, broadcast contraction — against the per-lane scalar
-        // enum walk, at ragged widths around the block boundary.
+        // Every batched kernel — upward, delta, downward over the cone of
+        // every literal and over a tangent plan's cone, broadcast
+        // contraction — against the per-lane scalar enum walk, at ragged
+        // widths around the block boundary.
         let vars = 6;
         for seed in 0..4u64 {
             let nnf = random_nnf(vars, seed);
@@ -2122,6 +1993,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(29 ^ seed);
             let plan = TangentPlan::new(&tape, &random_tangents(vars, &mut rng));
             let cone = DiffCone::new(&tape, plan.slots());
+            let lits = literal_cone(&tape);
             let mut eval = TapeEvaluator::new();
             for k in [
                 1usize,
@@ -2136,7 +2008,7 @@ mod tests {
                 for (lane, w) in lanes.iter().enumerate() {
                     assert!(bits_eq(got[lane], evaluate(&nnf, w)), "k={k} lane {lane}");
                 }
-                eval.differentials_batch(&tape, &batch);
+                eval.differentials_cone_batch(&tape, &batch, &lits);
                 for (lane, w) in lanes.iter().enumerate() {
                     let want = evaluate_with_differentials(&nnf, w);
                     assert!(bits_eq(eval.value_lane(&tape, lane), want.value));
@@ -2190,6 +2062,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(71);
         let plan = TangentPlan::new(&tape, &random_tangents(vars, &mut rng));
         let cone = DiffCone::new(&tape, plan.slots());
+        let lits = literal_cone(&tape);
         let k = LANE_WIDTH + 3;
         let mut w = random_weights(vars, &mut rng);
         let mut batch = batch_of(&lane_weights(vars, k, &mut rng));
@@ -2233,16 +2106,8 @@ mod tests {
                 eval.contract_tangent(&plan),
                 fresh.contract_tangent(&plan)
             ));
-            assert!(bits_eq(
-                eval.differentials_cone_delta(&tape, &w, &[v], &cone),
-                fresh.differentials_cone(&tape, &w, &cone)
-            ));
-            assert!(bits_eq(
-                eval.contract_tangent(&plan),
-                fresh.contract_tangent(&plan)
-            ));
-            eval.differentials_batch(&tape, &batch);
-            fresh.differentials_batch(&tape, &batch);
+            eval.differentials_cone_batch(&tape, &batch, &lits);
+            fresh.differentials_cone_batch(&tape, &batch, &lits);
             for lane in 0..k {
                 assert!(bits_eq(
                     eval.value_lane(&tape, lane),
@@ -2783,48 +2648,13 @@ mod tests {
     }
 
     #[test]
-    fn contract_tangent_lanes_bit_identical_to_scalar() {
-        let nnf = test_nnf();
-        let tape = AcTape::lower(&nnf);
-        let mut rng = StdRng::seed_from_u64(23);
-        for lanes in [4usize, LANE_WIDTH, LANE_WIDTH + 1, 2 * LANE_WIDTH + 3] {
-            let mut batch_w = AcWeightsBatch::uniform(3, lanes);
-            let mut batch_t = AcWeightsBatch::zeros(3, lanes);
-            let mut scalar_w = Vec::new();
-            let mut scalar_t = Vec::new();
-            for l in 0..lanes {
-                let w = random_weights(3, &mut rng);
-                let t = random_tangents(3, &mut rng);
-                for v in 1..=3u32 {
-                    batch_w.set_lane(v, l, w.get(v as Lit), w.get(-(v as Lit)));
-                    batch_t.set_lane(v, l, t.get(v as Lit), t.get(-(v as Lit)));
-                }
-                scalar_w.push(w);
-                scalar_t.push(t);
-            }
-            let plan = TangentPlanBatch::new(&tape, &batch_t);
-            let mut eval = TapeEvaluator::new();
-            eval.differentials_batch(&tape, &batch_w);
-            let mut out = vec![C_ZERO; lanes];
-            eval.contract_tangent_lanes(&plan, &mut out);
-            for l in 0..lanes {
-                let mut se = TapeEvaluator::new();
-                se.differentials(&tape, &scalar_w[l]);
-                let sp = TangentPlan::new(&tape, &scalar_t[l]);
-                assert!(
-                    bits_eq(out[l], se.contract_tangent(&sp)),
-                    "lane {l} of {lanes} diverges from scalar"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn cone_restricted_differentials_are_bit_identical_to_full() {
-        // Random CNFs, random weight/tangent draws, single-variable delta
-        // steps: the cone-restricted sweeps must contract bit-for-bit like
-        // the full sweeps — through both the fresh-evaluator (full upward)
-        // path and the delta upward path.
+        // Random CNFs, random tangents and per-lane weights,
+        // single-variable delta steps: the cone-restricted batched sweeps
+        // must contract, lane by lane, bit-for-bit like the full scalar
+        // sweeps — through both the full upward path and the delta upward
+        // path.
+        let k = 3;
         for seed in 0..10u64 {
             let f = random_cnf(6, 9, seed);
             let compiled = compile(&f, &CompileOptions::default());
@@ -2837,39 +2667,60 @@ mod tests {
             let cone = DiffCone::new(&tape, plan.slots());
             assert!(cone.len() <= tape.num_ops());
             assert_eq!(cone.is_empty(), plan.is_empty());
-            let mut full = TapeEvaluator::new();
+            let mut full: Vec<TapeEvaluator> = (0..k).map(|_| TapeEvaluator::new()).collect();
             let mut coned = TapeEvaluator::new();
-            let mut w = random_weights(6, &mut rng);
-            let a = full.differentials(&tape, &w);
-            let b = coned.differentials_cone(&tape, &w, &cone);
-            assert!(bits_eq(a, b), "seed {seed} root (full upward)");
-            assert!(
-                bits_eq(full.contract_tangent(&plan), coned.contract_tangent(&plan)),
-                "seed {seed} contraction (full upward)"
-            );
+            let mut lanes: Vec<AcWeights> = (0..k).map(|_| random_weights(6, &mut rng)).collect();
+            let mut batch = batch_of(&lanes);
+            let mut contracted = vec![C_ZERO; k];
+            let mut roots: Vec<Complex> = full
+                .iter_mut()
+                .zip(&lanes)
+                .map(|(e, w)| e.differentials(&tape, w))
+                .collect();
+            coned.differentials_cone_batch(&tape, &batch, &cone);
+            coned.contract_tangent_broadcast(&plan, &mut contracted);
+            for l in 0..k {
+                assert!(
+                    bits_eq(roots[l], coned.value_lane(&tape, l)),
+                    "seed {seed} lane {l} root (full upward)"
+                );
+                assert!(
+                    bits_eq(full[l].contract_tangent(&plan), contracted[l]),
+                    "seed {seed} lane {l} contraction (full upward)"
+                );
+            }
             for step in 0..50 {
                 // Evidence-like 0/1 weights fire the zero-partial skips.
                 let v = 1 + rng.gen_range(0..6) as u32;
-                let (pos, neg) = if rng.gen::<f64>() < 0.5 {
-                    if rng.gen::<bool>() {
-                        (C_ONE, C_ZERO)
+                for (l, (e, w)) in full.iter_mut().zip(&mut lanes).enumerate() {
+                    let (pos, neg) = if rng.gen::<f64>() < 0.5 {
+                        if rng.gen::<bool>() {
+                            (C_ONE, C_ZERO)
+                        } else {
+                            (C_ZERO, C_ONE)
+                        }
                     } else {
-                        (C_ZERO, C_ONE)
-                    }
-                } else {
-                    (
-                        Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5),
-                        Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5),
-                    )
-                };
-                w.set(v, pos, neg);
-                let a = full.differentials_delta(&tape, &w, &[v]);
-                let b = coned.differentials_cone_delta(&tape, &w, &[v], &cone);
-                assert!(bits_eq(a, b), "seed {seed} step {step} root");
-                assert!(
-                    bits_eq(full.contract_tangent(&plan), coned.contract_tangent(&plan)),
-                    "seed {seed} step {step} contraction"
-                );
+                        (
+                            Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5),
+                            Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5),
+                        )
+                    };
+                    w.set(v, pos, neg);
+                    batch.set_lane(v, l, pos, neg);
+                    roots[l] = e.differentials_delta(&tape, w, &[v]);
+                }
+                coned.differentials_cone_batch_delta(&tape, &batch, &[v], &cone);
+                coned.contract_tangent_broadcast(&plan, &mut contracted);
+                for l in 0..k {
+                    assert!(
+                        bits_eq(roots[l], coned.value_lane(&tape, l)),
+                        "seed {seed} step {step} lane {l} root"
+                    );
+                    assert!(
+                        bits_eq(full[l].contract_tangent(&plan), contracted[l]),
+                        "seed {seed} step {step} lane {l} contraction"
+                    );
+                }
             }
         }
     }
@@ -2884,8 +2735,9 @@ mod tests {
         let w = random_weights(3, &mut rng);
         let mut eval = TapeEvaluator::new();
         let mut reference = TapeEvaluator::new();
+        eval.differentials_cone_batch(&tape, &batch_of(std::slice::from_ref(&w)), &cone);
         assert!(bits_eq(
-            eval.differentials_cone(&tape, &w, &cone),
+            eval.value_lane(&tape, 0),
             reference.differentials(&tape, &w)
         ));
     }

@@ -48,9 +48,7 @@
 //! findings do not fail an artifact.
 
 use crate::evaluate::AcWeights;
-use crate::tape::{
-    AcTape, TangentPlan, TangentPlanBatch, TapeDecodeError, TapeId, TapeOp, TapeOpKind,
-};
+use crate::tape::{AcTape, TangentPlan, TapeDecodeError, TapeId, TapeOp, TapeOpKind};
 use qkc_cnf::Lit;
 use qkc_math::Complex;
 use std::collections::HashMap;
@@ -737,20 +735,8 @@ fn check_slot_liveness(tape: &AcTape, report: &mut VerifyReport) {
 /// referenced slot must be a literal instruction (the only slots whose
 /// upward value a tangent can perturb).
 pub fn verify_tangent_plan(plan: &TangentPlan, tape: &AcTape) -> Vec<Finding> {
-    check_plan_slots(plan.slots(), tape)
-}
-
-/// [`verify_tangent_plan`] for the lane-blocked [`TangentPlanBatch`]: the
-/// same literal-instruction check over the batch plan's kept slots (a slot
-/// is kept when any lane's tangent is nonzero, so a bad reference would be
-/// contracted in every pass).
-pub fn verify_tangent_plan_batch(plan: &TangentPlanBatch, tape: &AcTape) -> Vec<Finding> {
-    check_plan_slots(plan.slots(), tape)
-}
-
-fn check_plan_slots(slots: impl Iterator<Item = TapeId>, tape: &AcTape) -> Vec<Finding> {
     let ops = tape.ops();
-    slots
+    plan.slots()
         .filter(|&s| ops.get(s as usize).map(|op| op.kind) != Some(TapeOpKind::Lit))
         .map(|s| Finding {
             pass: VerifyPass::SlotLiveness,

@@ -94,6 +94,18 @@ fn amplitude_query_arity_is_checked() {
 }
 
 #[test]
+#[should_panic(expected = "out of domain")]
+fn amplitude_query_domain_is_checked_past_impossible_values() {
+    // Qubit 1 is untouched, so its value 1 is impossible; the
+    // out-of-range value after it must still panic, not read as zero.
+    let mut c = Circuit::new(3);
+    c.h(0).h(2);
+    let sim = KcSimulator::compile(&c, &Default::default());
+    let bound = sim.bind(&ParamMap::new()).unwrap();
+    let _ = bound.amplitude_assignment(&[0, 1, 2]);
+}
+
+#[test]
 #[should_panic(expected = "noise-free")]
 fn wavefunction_rejects_noisy_circuits() {
     let mut c = Circuit::new(1);

@@ -12,7 +12,7 @@ use qkc::engine::{
     ArtifactCache, Backend, BackendKind, Engine, EngineOptions, GradientMethod, GradientOptimizer,
     GradientSpec, KcBackend, VariationalConfig, VariationalGradientConfig,
 };
-use qkc::kc::KcOptions;
+use qkc::kc::{KcOptions, KcSimulator, ValueState};
 use qkc::optim::{Adam, NelderMead, Spsa};
 use qkc::workloads::{Graph, QaoaMaxCut, VqeIsing};
 use std::sync::Arc;
@@ -241,45 +241,53 @@ proptest! {
 /// and one beta across every mixer — plus a controlled rotation on the
 /// same gamma — agrees between the analytic path and the high-order
 /// parameter-shift rule to 1e-9, in one tape evaluation instead of
-/// `2·occurrences + 1`.
+/// `2·occurrences + 1`. The second instance adds a qubit no gate touches:
+/// unit resolution rules out its value 1, so half the basis states are
+/// impossible and ride the analytic pass as dead lanes.
 #[test]
 fn shared_symbol_across_all_edges_matches_shift_rule() {
     let n = 5;
-    let mut c = Circuit::new(n);
-    for q in 0..n {
-        c.h(q);
-    }
-    for q in 0..n {
-        c.zz(q, (q + 1) % n, Param::symbol("gamma"));
-    }
-    for q in 0..n {
-        c.rx(q, Param::symbol("beta"));
-    }
-    c.crz(0, 2, Param::symbol("gamma"));
-    let params = ParamMap::from_pairs([("gamma", 0.47), ("beta", 1.13)]);
-    let obs = |bits: usize| bits.count_ones() as f64;
-    let wrt = vec!["beta".to_string(), "gamma".to_string()];
-    let engine = kc_engine();
-    let r = engine.gradient(&c, &params, &obs, Some(&wrt)).unwrap();
-    assert_eq!(r.method, GradientMethod::Analytic);
-    assert!(r.exact);
-    assert_eq!(r.evaluations, 1, "one pass regardless of symbol sharing");
-    let s = shift_backend()
-        .expectation_gradient(&c, &params, &obs, &wrt)
-        .unwrap();
-    assert_eq!(s.method, GradientMethod::ParameterShift);
-    assert!(
-        s.evaluations > 2 * wrt.len() + 1,
-        "shared symbols inflate the shift-lane count ({})",
-        s.evaluations
-    );
-    assert!((r.value - s.value).abs() < 1e-12);
-    for (i, (an, ps)) in r.gradient.iter().zip(&s.gradient).enumerate() {
+    for idle in [0usize, 1] {
+        let mut c = Circuit::new(n + idle);
+        for q in 0..n {
+            c.h(q);
+        }
+        for q in 0..n {
+            c.zz(q, (q + 1) % n, Param::symbol("gamma"));
+        }
+        for q in 0..n {
+            c.rx(q, Param::symbol("beta"));
+        }
+        c.crz(0, 2, Param::symbol("gamma"));
+        if idle > 0 {
+            let sim = KcSimulator::compile(&c, &KcOptions::default());
+            assert!(matches!(sim.query()[n].values[1], ValueState::ForcedFalse));
+        }
+        let params = ParamMap::from_pairs([("gamma", 0.47), ("beta", 1.13)]);
+        let obs = |bits: usize| bits.count_ones() as f64;
+        let wrt = vec!["beta".to_string(), "gamma".to_string()];
+        let engine = kc_engine();
+        let r = engine.gradient(&c, &params, &obs, Some(&wrt)).unwrap();
+        assert_eq!(r.method, GradientMethod::Analytic);
+        assert!(r.exact);
+        assert_eq!(r.evaluations, 1, "one pass regardless of symbol sharing");
+        let s = shift_backend()
+            .expectation_gradient(&c, &params, &obs, &wrt)
+            .unwrap();
+        assert_eq!(s.method, GradientMethod::ParameterShift);
         assert!(
-            (an - ps).abs() < 1e-9,
-            "{}: analytic {an} vs shift {ps}",
-            wrt[i]
+            s.evaluations > 2 * wrt.len() + 1,
+            "shared symbols inflate the shift-lane count ({})",
+            s.evaluations
         );
+        assert!((r.value - s.value).abs() < 1e-12, "idle={idle}");
+        for (i, (an, ps)) in r.gradient.iter().zip(&s.gradient).enumerate() {
+            assert!(
+                (an - ps).abs() < 1e-9,
+                "idle={idle} {}: analytic {an} vs shift {ps}",
+                wrt[i]
+            );
+        }
     }
 }
 
